@@ -6,6 +6,8 @@
 #ifndef CDFSIM_BP_BTB_HH
 #define CDFSIM_BP_BTB_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -89,6 +91,11 @@ class Btb
     std::uint64_t &misses_;
 };
 
+/** Deepest return address stack a checkpoint can hold (Table 1 uses
+ *  32). Ras::Snapshot is a fixed-size value type so that taking a
+ *  branch checkpoint never allocates. */
+inline constexpr std::size_t kMaxRasDepth = 32;
+
 /**
  * Return address stack. Fetch pushes on Call and pops on Ret; the
  * whole stack is checkpointed per in-flight branch (it is small) so
@@ -97,85 +104,91 @@ class Btb
 class Ras
 {
   public:
-    explicit Ras(std::size_t depth) : stack_(depth), top_(0), size_(0) {}
+    /** Copyable snapshot for checkpointing: the live stack itself.
+     *  Default-constructed instances sit idle inside BpCheckpoint
+     *  holders that still get serialized verbatim, so every field
+     *  must default to a deterministic value — an uninitialized
+     *  member here would leak host garbage into checkpoint payloads
+     *  and break on-disk determinism. */
+    struct Snapshot
+    {
+        std::array<Addr, kMaxRasDepth> stack{};
+        std::size_t depth = 0; //!< entries of stack in use
+        std::size_t top = 0;
+        std::size_t size = 0;
+    };
+
+    explicit Ras(std::size_t depth)
+    {
+        SIM_ASSERT(depth > 0 && depth <= kMaxRasDepth, "RAS depth ",
+                   depth, " exceeds the fixed checkpoint copy (max ",
+                   kMaxRasDepth, ")");
+        s_.depth = depth;
+    }
 
     void
     push(Addr returnPc)
     {
-        stack_[top_] = returnPc;
-        top_ = (top_ + 1) % stack_.size();
-        if (size_ < stack_.size())
-            ++size_;
+        s_.stack[s_.top] = returnPc;
+        s_.top = (s_.top + 1) % s_.depth;
+        if (s_.size < s_.depth)
+            ++s_.size;
     }
 
     /** Pop the predicted return target; empty stacks predict 0. */
     Addr
     pop()
     {
-        if (size_ == 0)
+        if (s_.size == 0)
             return 0;
-        top_ = (top_ + stack_.size() - 1) % stack_.size();
-        --size_;
-        return stack_[top_];
+        s_.top = (s_.top + s_.depth - 1) % s_.depth;
+        --s_.size;
+        return s_.stack[s_.top];
     }
 
-    /** Copyable snapshot for checkpointing. Default-constructed
-     *  instances sit idle inside BpCheckpoint holders that still get
-     *  serialized verbatim (e.g. a DynInst that took no checkpoint),
-     *  so every field must default to a deterministic value — an
-     *  uninitialized member here would leak host heap garbage into
-     *  checkpoint payloads and break on-disk determinism. */
-    struct Snapshot
-    {
-        std::vector<Addr> stack;
-        std::size_t top = 0;
-        std::size_t size = 0;
-    };
-
-    Snapshot snapshot() const { return {stack_, top_, size_}; }
+    const Snapshot &snapshot() const { return s_; }
 
     void
     restore(const Snapshot &s)
     {
-        stack_ = s.stack;
-        top_ = s.top;
-        size_ = s.size;
+        SIM_ASSERT(s.depth == s_.depth, "RAS snapshot depth ", s.depth,
+                   " != configured ", s_.depth);
+        s_ = s;
     }
 
     /** Snapshot stream codec (depth is config-fixed). */
     void
     save(SnapWriter &w) const
     {
-        for (Addr a : stack_)
-            w.u64(a);
-        w.u64(top_);
-        w.u64(size_);
+        for (std::size_t i = 0; i < s_.depth; ++i)
+            w.u64(s_.stack[i]);
+        w.u64(s_.top);
+        w.u64(s_.size);
     }
 
     void
     restore(SnapReader &r)
     {
-        for (Addr &a : stack_)
-            a = r.u64();
-        top_ = static_cast<std::size_t>(r.u64());
-        size_ = static_cast<std::size_t>(r.u64());
+        for (std::size_t i = 0; i < s_.depth; ++i)
+            s_.stack[i] = r.u64();
+        s_.top = static_cast<std::size_t>(r.u64());
+        s_.size = static_cast<std::size_t>(r.u64());
     }
 
   private:
-    SIM_SNAPSHOT_FIELDS(3);
+    SIM_SNAPSHOT_FIELDS(1);
 
-    std::vector<Addr> stack_;
-    std::size_t top_;
-    std::size_t size_;
+    Snapshot s_;
 };
 
-/** Snapshot codec for the copyable RAS checkpoint. */
+/** Snapshot codec for the copyable RAS checkpoint: the depth, the
+ *  entries in use, then top and size. */
 inline void
 save(SnapWriter &w, const Ras::Snapshot &s)
 {
-    w.u64(s.stack.size());
-    for (Addr a : s.stack)
-        w.u64(a);
+    w.u64(s.depth);
+    for (std::size_t i = 0; i < s.depth; ++i)
+        w.u64(s.stack[i]);
     w.u64(s.top);
     w.u64(s.size);
 }
@@ -183,9 +196,13 @@ save(SnapWriter &w, const Ras::Snapshot &s)
 inline void
 restore(SnapReader &r, Ras::Snapshot &s)
 {
-    s.stack.resize(static_cast<std::size_t>(r.u64()));
-    for (Addr &a : s.stack)
-        a = r.u64();
+    const std::uint64_t depth = r.u64();
+    SIM_ASSERT(depth <= kMaxRasDepth, "snapshot RAS depth ", depth,
+               " exceeds ", kMaxRasDepth);
+    s = Ras::Snapshot{};
+    s.depth = static_cast<std::size_t>(depth);
+    for (std::size_t i = 0; i < s.depth; ++i)
+        s.stack[i] = r.u64();
     s.top = static_cast<std::size_t>(r.u64());
     s.size = static_cast<std::size_t>(r.u64());
 }

@@ -170,7 +170,25 @@ Core::destroyInst(DynInst *inst)
         inflightPool_.at(inst->nextIdx).prevIdx = inst->prevIdx;
     else
         inflightTail_ = inst->prevIdx;
+    if (inst->branchState != kNoBranchState)
+        branchStates_.free(inst->branchState);
     inflightPool_.free(inst->poolIdx);
+}
+
+std::uint32_t
+Core::checkpointBranch()
+{
+    const std::uint32_t h = branchStates_.allocate();
+    branchStates_.at(h).ckpt = bp_.checkpoint();
+    return h;
+}
+
+void
+Core::clearDbqCkpts()
+{
+    for (const DbqCheckpoint &c : dbqCkpts_)
+        branchStates_.free(c.state);
+    dbqCkpts_.clear();
 }
 
 // ---------------------------------------------------------------------
@@ -473,8 +491,7 @@ Core::fetchRegularBaseline(unsigned &budget)
         bool endGroup = false;
         if (inst->isBranch()) {
             ++statBranches_;
-            inst->hasBpCheckpoint = true;
-            inst->bpCheckpoint = bp_.checkpoint();
+            inst->branchState = checkpointBranch();
             auto pred = bp_.predict(rec.pc, rec.uop);
             inst->predTaken = pred.taken;
             inst->predTarget = pred.target;

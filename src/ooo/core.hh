@@ -191,6 +191,15 @@ class Core
     void auditLsqRobAge() const;
 
     /**
+     * Branch-state ownership walk: every live slot of the
+     * branch-state pool is owned by exactly one in-flight DynInst or
+     * one DBQ checkpoint, and every owner's handle names a live slot.
+     * Always compiled; sampled from the retire stage in Audit builds
+     * and run after every restore.
+     */
+    void auditBranchStates() const;
+
+    /**
      * Serialize the complete architectural + microarchitectural core
      * state (core_snapshot.cc). Host-only measurement state (stage
      * profile, idle-skip bookkeeping) is excluded, so the payload is
@@ -228,6 +237,11 @@ class Core
     // --- Instruction lifecycle ---
     DynInst *makeInst(const isa::ExecRecord &rec, SeqNum ts, bool onPath);
     void destroyInst(DynInst *inst);
+    /** Allocate a BranchState holding the predictor checkpoint taken
+     *  now (before the branch's predict()); returns its handle. */
+    std::uint32_t checkpointBranch();
+    /** Drop every DBQ checkpoint, releasing its branch state. */
+    void clearDbqCkpts();
 
     // --- Execution helpers ---
     void issueOne(DynInst *inst);
@@ -304,7 +318,7 @@ class Core
     DynInst *decInst(std::uint32_t idx);
 
     // ------------------------------------------------------------------
-    SIM_SNAPSHOT_FIELDS(126);
+    SIM_SNAPSHOT_FIELDS(128);
 
     CoreConfig config_;
     StatRegistry &stats_;
@@ -328,6 +342,11 @@ class Core
     SlabPool<DynInst> inflightPool_;
     std::uint32_t inflightHead_ = kNoInst; //!< oldest in flight
     std::uint32_t inflightTail_ = kNoInst; //!< youngest in flight
+
+    /** Per-branch recovery/training state (BranchState), named by
+     *  DynInst::branchState and DbqCheckpoint::state. Small slabs:
+     *  only in-flight branches hold a slot. */
+    SlabPool<BranchState> branchStates_{64};
 
     /** RS entries parked until a physical register is written:
      *  (pool handle, fetchSeq) pairs, validated at wake time. */
@@ -361,6 +380,9 @@ class Core
     };
     std::vector<CompletionEvent> completions_;
     std::vector<CompletionEvent> completionsScratch_;
+
+    /** Squash victims, youngest first (reused across squashes). */
+    std::vector<DynInst *> squashVictims_;
 
     // --- Frontend state (regular mode) ---
     Cycle now_ = 0;
@@ -449,14 +471,13 @@ class Core
     std::size_t wpConsumeIdx_ = 0;
 
     // DBQ checkpoints: branch checkpoints taken at critical fetch for
-    // branches that travel only in the regular stream.
+    // branches that travel only in the regular stream, which takes
+    // the branch state over by handle when it fetches the branch.
     struct DbqCheckpoint
     {
         SeqNum ts;
-        bp::BpCheckpoint ckpt;
-        bool mispredicted;
+        std::uint32_t state; //!< branchStates_ handle (owned)
         bool btbMiss;
-        bp::TagePredictionInfo tageInfo;
     };
     std::vector<DbqCheckpoint> dbqCkpts_;
 
@@ -504,7 +525,7 @@ class Core
     Cycle skipRecheckAt_ = 0;
     mutable AuditSampler rsAudit_{4096};
     mutable AuditSampler renameAudit_{8192};
-    mutable AuditSampler lsqRobAudit_{4096};
+    mutable AuditSampler retireAudit_{4096};
     RunningMean mlpWhenActive_;
     RunningMean uselessMlpWhenActive_;
     RunningMean fig1CriticalFrac_;

@@ -422,8 +422,14 @@ Core::finishInst(DynInst *inst)
     inst->state = InstState::Completed;
 
     if (inst->isBranch() && inst->onPath) {
+        // Only critical CDF branches record their TAGE stash; every
+        // other branch trains with a default one (ROADMAP item 1).
+        static const bp::TagePredictionInfo kNoStash{};
         bp_.update(inst->pc, inst->uop, inst->taken,
-                   inst->actualTarget, inst->tageInfo);
+                   inst->actualTarget,
+                   inst->branchState != kNoBranchState
+                       ? branchStates_.at(inst->branchState).tageInfo
+                       : kNoStash);
         if (inst->mispredicted)
             recoverFromBranch(inst);
     }
@@ -436,7 +442,10 @@ Core::finishInst(DynInst *inst)
 void
 Core::retireStage()
 {
-    SIM_AUDIT_ONLY(if (lsqRobAudit_.due()) auditLsqRobAge();)
+    SIM_AUDIT_ONLY(if (retireAudit_.due()) {
+        auditLsqRobAge();
+        auditBranchStates();
+    })
 
     for (unsigned n = 0; n < config_.width; ++n) {
         DynInst *h = rob_.head();
@@ -583,38 +592,47 @@ Core::squashYoungerThan(SeqNum flushTs)
 {
     // Collect the doomed set first so the completion heap and other
     // side structures can be filtered before any memory is freed.
-    std::vector<DynInst *> squashed;
-    squashOldestCkptValid_ = false;
-    for (std::uint32_t i = inflightHead_; i != kNoInst;
-         i = inflightPool_.at(i).nextIdx) {
+    // Walking back from the tail yields the victims youngest-first,
+    // which is ts order except where CDF's critical stream fetched
+    // ahead of the regular one.
+    std::vector<DynInst *> &squashed = squashVictims_;
+    squashed.clear();
+    bool youngestFirst = true;
+    // Track the oldest squashed branch checkpoint so violation
+    // recoveries can rewind the predictor's speculative history. On
+    // a ts tie the instruction fetched first wins, so the backward
+    // walk lets later-visited ties replace earlier ones.
+    std::uint32_t oldestCkpt = kNoBranchState;
+    for (std::uint32_t i = inflightTail_; i != kNoInst;
+         i = inflightPool_.at(i).prevIdx) {
         DynInst &inst = inflightPool_.at(i);
-        if (inst.ts > flushTs) {
-            inst.doomed = true;
-            squashed.push_back(&inst);
+        if (inst.ts <= flushTs)
+            continue;
+        if (!squashed.empty() && squashed.back()->ts < inst.ts)
+            youngestFirst = false;
+        inst.doomed = true;
+        squashed.push_back(&inst);
+        if (inst.branchState != kNoBranchState &&
+            (oldestCkpt == kNoBranchState ||
+             inst.ts <= squashOldestCkptTs_)) {
+            oldestCkpt = inst.branchState;
+            squashOldestCkptTs_ = inst.ts;
         }
     }
     // NOTE: even when no in-flight instruction is younger than the
     // flush point, the FIFO flushes further down must still run:
     // wrong-path basic blocks with no critical uops leave DBQ /
     // wpRecords / BbInfo entries behind without any instruction.
-
-    // Track the oldest squashed branch checkpoint so violation
-    // recoveries can rewind the predictor's speculative history.
-    auto noteCkpt = [&](SeqNum ts, const bp::BpCheckpoint &c) {
-        if (!squashOldestCkptValid_ || ts < squashOldestCkptTs_) {
-            squashOldestCkptValid_ = true;
-            squashOldestCkptTs_ = ts;
-            squashOldestCkpt_ = c;
-        }
-    };
-    for (DynInst *inst : squashed) {
-        if (inst->hasBpCheckpoint)
-            noteCkpt(inst->ts, inst->bpCheckpoint);
-    }
     for (const DbqCheckpoint &c : dbqCkpts_) {
-        if (c.ts > flushTs)
-            noteCkpt(c.ts, c.ckpt);
+        if (c.ts > flushTs &&
+            (oldestCkpt == kNoBranchState || c.ts < squashOldestCkptTs_)) {
+            oldestCkpt = c.state;
+            squashOldestCkptTs_ = c.ts;
+        }
     }
+    squashOldestCkptValid_ = oldestCkpt != kNoBranchState;
+    if (squashOldestCkptValid_)
+        squashOldestCkpt_ = branchStates_.at(oldestCkpt).ckpt;
     // Completion heap: drain in heap order, keep survivors. The
     // drained sequence is ascending, so the survivor vector is
     // already a valid min-heap with exactly the layout the old
@@ -667,8 +685,12 @@ Core::squashYoungerThan(SeqNum flushTs)
         cdf::flushYounger(*dbq_, flushTs);
     if (cmq_)
         cdf::flushYounger(*cmq_, flushTs);
-    std::erase_if(dbqCkpts_,
-                  [&](const DbqCheckpoint &c) { return c.ts > flushTs; });
+    std::erase_if(dbqCkpts_, [&](const DbqCheckpoint &c) {
+        if (c.ts <= flushTs)
+            return false;
+        branchStates_.free(c.state);
+        return true;
+    });
     std::erase_if(wpRecords_,
                   [&](const WpRecord &w) { return w.ts > flushTs; });
     if (wpConsumeIdx_ > wpRecords_.size())
@@ -677,10 +699,12 @@ Core::squashYoungerThan(SeqNum flushTs)
         bbInfoQ_.pop_back();
 
     // Undo renames youngest-first and release physical registers.
-    std::sort(squashed.begin(), squashed.end(),
-              [](const DynInst *a, const DynInst *b) {
-                  return a->ts > b->ts;
-              });
+    if (!youngestFirst) {
+        std::sort(squashed.begin(), squashed.end(),
+                  [](const DynInst *a, const DynInst *b) {
+                      return a->ts > b->ts;
+                  });
+    }
 
     // Restore the poison bits to their state before the oldest
     // squashed regular rename (they are RAT state and flush with it).
@@ -744,8 +768,10 @@ Core::recoverFromBranch(DynInst *branch)
         exitRunahead(); // before the checkpoint rewind below
 
     squashYoungerThan(flushTs);
-    SIM_ASSERT(branch->hasBpCheckpoint, "branch without checkpoint");
-    bp_.recover(branch->bpCheckpoint, branch->taken, branch->pc);
+    SIM_ASSERT(branch->branchState != kNoBranchState,
+               "branch without checkpoint");
+    bp_.recover(branchStates_.at(branch->branchState).ckpt,
+                branch->taken, branch->pc);
 
     fetchStallUntil_ = now_ + config_.mispredictRedirect;
     lastFetchLine_ = ~Addr{0};
@@ -887,6 +913,36 @@ Core::auditLsqRobAge() const
     };
     checkQueue(lsq_.lq(), "LQ");
     checkQueue(lsq_.sq(), "SQ");
+}
+
+void
+Core::auditBranchStates() const
+{
+    branchStates_.auditInvariants();
+    std::vector<std::uint8_t> owned(branchStates_.capacity(), 0);
+    std::size_t owners = 0;
+    const auto claim = [&](std::uint32_t h, SeqNum ts,
+                           const char *what) {
+        SIM_ASSERT(branchStates_.alive(h), what, " ts ", ts,
+                   " holds dead branch-state slot ", h);
+        SIM_ASSERT(!owned[h], "branch-state slot ", h,
+                   " has two owners (the second is ", what, " ts ", ts,
+                   ")");
+        owned[h] = 1;
+        ++owners;
+    };
+    for (std::uint32_t i = inflightHead_; i != kNoInst;
+         i = inflightPool_.at(i).nextIdx) {
+        const DynInst &inst = inflightPool_.at(i);
+        if (inst.branchState != kNoBranchState)
+            claim(inst.branchState, inst.ts, "in-flight instruction");
+    }
+    for (const DbqCheckpoint &c : dbqCkpts_)
+        claim(c.state, c.ts, "DBQ checkpoint");
+    SIM_ASSERT(owners == branchStates_.liveCount(),
+               "branch-state pool leaks ",
+               branchStates_.liveCount() - owners,
+               " live slot(s) no instruction or DBQ checkpoint owns");
 }
 
 } // namespace cdfsim::ooo

@@ -92,7 +92,7 @@ Core::maybeEnterCdfMode(Addr pc, SeqNum seq)
     wpRecords_.clear();
     wpConsumeIdx_ = 0;
     bbInfoQ_.clear();
-    dbqCkpts_.clear();
+    clearDbqCkpts();
     criticalByTs_.clear();
 
     applyPartitionCaps();
@@ -162,7 +162,7 @@ Core::finishCdfExit()
     wpRecords_.clear();
     wpConsumeIdx_ = 0;
     bbInfoQ_.clear();
-    dbqCkpts_.clear();
+    clearDbqCkpts();
     rat_.clearAllPoison();
     // Note: the CMQ may still hold entries for critical uops that
     // are fetched but not yet replayed by regular rename; rename
@@ -186,7 +186,7 @@ Core::abortCdfMode()
     critWpStuck_ = false;
     cdfWalker_.deactivate();
     critOnPath_ = true;
-    dbqCkpts_.clear();
+    clearDbqCkpts();
     wpRecords_.clear();
     wpConsumeIdx_ = 0;
     bbInfoQ_.clear();
@@ -330,7 +330,7 @@ Core::fetchCriticalCdf(unsigned &budget)
         const isa::Uop &buop = oracle_.program().at(branchPc);
         SIM_ASSERT(buop.isBranch(), "trace branchPc is not a branch");
 
-        bp::BpCheckpoint ckpt = bp_.checkpoint();
+        const std::uint32_t state = checkpointBranch();
         bp::BranchPrediction pred = bp_.predict(branchPc, buop);
 
         SeqNum branchTs;
@@ -338,6 +338,7 @@ Core::fetchCriticalCdf(unsigned &budget)
         if (critOnPath_) {
             branchTs = critFetchBaseTs_ + len - 1;
             if (!oracle_.hasRecord(branchTs)) {
+                branchStates_.free(state);
                 beginCdfExit();
                 return;
             }
@@ -362,19 +363,19 @@ Core::fetchCriticalCdf(unsigned &budget)
             binst->critical = true;
             binst->criticalStream = true;
             binst->cdfFetched = true;
-            binst->hasBpCheckpoint = true;
-            binst->bpCheckpoint = ckpt;
+            binst->branchState = state;
+            branchStates_.at(state).tageInfo = pred.tageInfo;
             binst->predTaken = pred.taken;
             binst->predTarget = pred.target;
             binst->btbMissBubble = pred.btbMiss;
-            binst->tageInfo = pred.tageInfo;
             binst->mispredicted = critOnPath_ && misp;
             critQ_.push(binst);
             --budget;
             ++statBranches_;
         } else {
-            dbqCkpts_.push_back(
-                {branchTs, ckpt, misp, pred.btbMiss, pred.tageInfo});
+            // The regular-stream copy trains with a default TAGE
+            // stash: pred.tageInfo is deliberately not kept here.
+            dbqCkpts_.push_back({branchTs, state, pred.btbMiss});
         }
 
         const Addr nextPc = pred.taken ? pred.target : branchPc + 1;
@@ -484,14 +485,15 @@ Core::fetchRegularCdf(unsigned &budget)
 
             if (!critFlag) {
                 // Non-critical branch: it executes in the backend
-                // via the regular stream and carries the checkpoint
-                // taken at critical-fetch prediction time.
+                // via the regular stream and takes over the branch
+                // state checkpointed at critical-fetch prediction
+                // time. Entries are ts-ordered, so the match is
+                // usually the oldest.
                 auto it = std::find_if(
                     dbqCkpts_.begin(), dbqCkpts_.end(),
                     [&](const DbqCheckpoint &c) { return c.ts == ts; });
                 if (it != dbqCkpts_.end()) {
-                    inst->hasBpCheckpoint = true;
-                    inst->bpCheckpoint = it->ckpt;
+                    inst->branchState = it->state;
                     inst->btbMissBubble = it->btbMiss;
                     dbqCkpts_.erase(it);
                 }

@@ -91,6 +91,8 @@ Core::saveState(SnapWriter &w) const
         w, [](SnapWriter &sw, const DynInst &d) { d.save(sw); });
     w.u32(inflightHead_);
     w.u32(inflightTail_);
+    branchStates_.save(
+        w, [](SnapWriter &sw, const BranchState &b) { b.save(sw); });
 
     // Backend containers (pool handles).
     rob_.save(w, [&](const DynInst *i) { return encInst(i); });
@@ -222,10 +224,8 @@ Core::saveState(SnapWriter &w) const
     w.u32(static_cast<std::uint32_t>(dbqCkpts_.size()));
     for (const DbqCheckpoint &c : dbqCkpts_) {
         w.u64(c.ts);
-        bp::save(w, c.ckpt);
-        w.b(c.mispredicted);
+        w.u32(c.state);
         w.b(c.btbMiss);
-        bp::save(w, c.tageInfo);
     }
     w.b(critWpStuck_);
 
@@ -289,6 +289,8 @@ Core::restoreState(SnapReader &r)
         r, [](SnapReader &sr, DynInst &d) { d.restore(sr); });
     inflightHead_ = r.u32();
     inflightTail_ = r.u32();
+    branchStates_.restore(
+        r, [](SnapReader &sr, BranchState &b) { b.restore(sr); });
 
     rob_.restore(r, [&](std::uint32_t idx) { return decInst(idx); });
     lsq_.restore(r, [&](std::uint32_t idx) { return decInst(idx); });
@@ -420,10 +422,8 @@ Core::restoreState(SnapReader &r)
     dbqCkpts_.resize(r.u32());
     for (DbqCheckpoint &c : dbqCkpts_) {
         c.ts = r.u64();
-        bp::restore(r, c.ckpt);
-        c.mispredicted = r.b();
+        c.state = r.u32();
         c.btbMiss = r.b();
-        bp::restore(r, c.tageInfo);
     }
     critWpStuck_ = r.b();
 
@@ -470,7 +470,10 @@ Core::restoreState(SnapReader &r)
     skipEvents_ = 0;
     skipRecheckAt_ = 0;
 
-    SIM_AUDIT_ONLY(auditRenameMaps();)
+    SIM_AUDIT_ONLY({
+        auditRenameMaps();
+        auditBranchStates();
+    })
 }
 
 void

@@ -29,62 +29,99 @@ enum class InstState : std::uint8_t
     Completed,   //!< result produced; waiting to retire
 };
 
-/** One in-flight dynamic instruction. */
+/** Null handle in the core's branch-state pool. */
+inline constexpr std::uint32_t kNoBranchState = 0xFFFF'FFFFu;
+
+/**
+ * Recovery and training state of one predicted branch: the predictor
+ * checkpoint taken just before its prediction, and the TAGE lookup
+ * stash its resolution trains with. Only branches need it, so it
+ * lives in a Core-owned pool, named by a 32-bit handle held either by
+ * the branch's DynInst or, in CDF mode, by a DBQ checkpoint until the
+ * regular stream fetches the branch.
+ */
+struct BranchState
+{
+    bp::BpCheckpoint ckpt;
+    bp::TagePredictionInfo tageInfo;
+
+    void
+    save(SnapWriter &w) const
+    {
+        bp::save(w, ckpt);
+        bp::save(w, tageInfo);
+    }
+
+    void
+    restore(SnapReader &r)
+    {
+        bp::restore(r, ckpt);
+        bp::restore(r, tageInfo);
+    }
+
+    SIM_SNAPSHOT_FIELDS(2);
+};
+
+/**
+ * One in-flight dynamic instruction. The fields the per-cycle RS scan
+ * reads come first, so a scan touches one cache line per entry.
+ */
 struct DynInst
 {
-    // --- Identity ---
-    SeqNum fetchSeq = 0;     //!< unique, monotonic in fetch order
+    // --- Read by the RS scan every cycle ---
     SeqNum ts = 0;           //!< program-order timestamp (oracle index)
-    Addr pc = 0;
+    /** Earliest cycle the RS scheduler must re-examine this entry:
+     *  0 = examine now, kNeverCycle = parked until a register
+     *  wakeup clears it. Pure scheduling cache, never architectural. */
+    Cycle rsNextTry = 0;
     isa::Uop uop;
-    bool onPath = true;      //!< false for wrong-path instructions
-
-    // --- CDF attributes ---
+    RegId physSrc1 = kInvalidReg;
+    RegId physSrc2 = kInvalidReg;
+    InstState state = InstState::Fetched;
     bool critical = false;     //!< marked critical by trace construction
+
+    // --- Identity and CDF attributes ---
+    bool onPath = true;        //!< false for wrong-path instructions
     bool cdfFetched = false;   //!< fetched while CDF mode was active
     bool criticalStream = false; //!< travelled via the critical pipeline
+    SeqNum fetchSeq = 0;     //!< unique, monotonic in fetch order
+    Addr pc = 0;
 
     // --- Functional outcome (bound at fetch) ---
     Addr memAddr = 0;          //!< effective address (memory ops)
-    bool taken = false;        //!< actual branch direction
     Addr actualTarget = 0;     //!< actual next PC
-    bool predTaken = false;
     Addr predTarget = 0;
+    bool taken = false;        //!< actual branch direction
+    bool predTaken = false;
     bool mispredicted = false; //!< prediction differed from outcome
     bool btbMissBubble = false;
-    bp::TagePredictionInfo tageInfo; //!< for resolution-time training
 
     // --- Rename state ---
     RegId physDst = kInvalidReg;
     RegId oldPhysDst = kInvalidReg;      //!< regular RAT prior mapping
     RegId oldPhysDstCrit = kInvalidReg;  //!< critical RAT prior mapping
-    RegId physSrc1 = kInvalidReg;
-    RegId physSrc2 = kInvalidReg;
     bool renamedRegular = false;   //!< updated the regular RAT
     bool renamedCritical = false;  //!< updated the critical RAT
     bool hasPoisonSnapshot = false;
     std::uint64_t poisonSnapshot = 0; //!< poison bits pre-this-rename
 
     // --- Execution state ---
-    InstState state = InstState::Fetched;
     Cycle fetchCycle = 0;
     Cycle renameCycle = 0;
     Cycle readyAtRename = 0;   //!< earliest cycle rename may process it
     Cycle completionCycle = kNeverCycle;
-    /** Earliest cycle the RS scheduler must re-examine this entry:
-     *  0 = examine now, kNeverCycle = parked until a register
-     *  wakeup clears it. Pure scheduling cache, never architectural. */
-    Cycle rsNextTry = 0;
+    SeqNum forwardSrcTs = 0;   //!< ts of SQ entry forwarded from (0: mem)
     bool llcMiss = false;      //!< this load went to DRAM
     bool l1Miss = false;
-    SeqNum forwardSrcTs = 0;   //!< ts of SQ entry forwarded from (0: mem)
     bool addrKnown = false;    //!< agen done (memory disambiguation)
 
     // --- Recovery state ---
-    bool hasBpCheckpoint = false;
-    bp::BpCheckpoint bpCheckpoint;
     /** Transient mark set while a squash collects its victims. */
     bool doomed = false;
+    /** This branch's BranchState in the core's pool, or
+     *  kNoBranchState (non-branches, and CDF regular-stream branches
+     *  that found no DBQ checkpoint). */
+    std::uint32_t branchState = kNoBranchState;
 
     /** Handle of this instruction in the core's slab pool, plus the
      *  intrusive links of the master in-flight list (fetch order). */
@@ -105,44 +142,42 @@ struct DynInst
     void
     save(SnapWriter &w) const
     {
-        w.u64(fetchSeq);
         w.u64(ts);
-        w.u64(pc);
+        w.u64(rsNextTry);
         isa::save(w, uop);
-        w.b(onPath);
+        w.u16(physSrc1);
+        w.u16(physSrc2);
+        w.u8(static_cast<std::uint8_t>(state));
         w.b(critical);
+        w.b(onPath);
         w.b(cdfFetched);
         w.b(criticalStream);
+        w.u64(fetchSeq);
+        w.u64(pc);
         w.u64(memAddr);
-        w.b(taken);
         w.u64(actualTarget);
-        w.b(predTaken);
         w.u64(predTarget);
+        w.b(taken);
+        w.b(predTaken);
         w.b(mispredicted);
         w.b(btbMissBubble);
-        bp::save(w, tageInfo);
         w.u16(physDst);
         w.u16(oldPhysDst);
         w.u16(oldPhysDstCrit);
-        w.u16(physSrc1);
-        w.u16(physSrc2);
         w.b(renamedRegular);
         w.b(renamedCritical);
         w.b(hasPoisonSnapshot);
         w.u64(poisonSnapshot);
-        w.u8(static_cast<std::uint8_t>(state));
         w.u64(fetchCycle);
         w.u64(renameCycle);
         w.u64(readyAtRename);
         w.u64(completionCycle);
-        w.u64(rsNextTry);
+        w.u64(forwardSrcTs);
         w.b(llcMiss);
         w.b(l1Miss);
-        w.u64(forwardSrcTs);
         w.b(addrKnown);
-        w.b(hasBpCheckpoint);
-        bp::save(w, bpCheckpoint);
         w.b(doomed);
+        w.u32(branchState);
         w.u32(poolIdx);
         w.u32(prevIdx);
         w.u32(nextIdx);
@@ -151,51 +186,53 @@ struct DynInst
     void
     restore(SnapReader &r)
     {
-        fetchSeq = r.u64();
         ts = r.u64();
-        pc = r.u64();
+        rsNextTry = r.u64();
         isa::restore(r, uop);
-        onPath = r.b();
+        physSrc1 = r.u16();
+        physSrc2 = r.u16();
+        state = static_cast<InstState>(r.u8());
         critical = r.b();
+        onPath = r.b();
         cdfFetched = r.b();
         criticalStream = r.b();
+        fetchSeq = r.u64();
+        pc = r.u64();
         memAddr = r.u64();
-        taken = r.b();
         actualTarget = r.u64();
-        predTaken = r.b();
         predTarget = r.u64();
+        taken = r.b();
+        predTaken = r.b();
         mispredicted = r.b();
         btbMissBubble = r.b();
-        bp::restore(r, tageInfo);
         physDst = r.u16();
         oldPhysDst = r.u16();
         oldPhysDstCrit = r.u16();
-        physSrc1 = r.u16();
-        physSrc2 = r.u16();
         renamedRegular = r.b();
         renamedCritical = r.b();
         hasPoisonSnapshot = r.b();
         poisonSnapshot = r.u64();
-        state = static_cast<InstState>(r.u8());
         fetchCycle = r.u64();
         renameCycle = r.u64();
         readyAtRename = r.u64();
         completionCycle = r.u64();
-        rsNextTry = r.u64();
+        forwardSrcTs = r.u64();
         llcMiss = r.b();
         l1Miss = r.b();
-        forwardSrcTs = r.u64();
         addrKnown = r.b();
-        hasBpCheckpoint = r.b();
-        bp::restore(r, bpCheckpoint);
         doomed = r.b();
+        branchState = r.u32();
         poolIdx = r.u32();
         prevIdx = r.u32();
         nextIdx = r.u32();
     }
 
-    SIM_SNAPSHOT_FIELDS(41);
+    SIM_SNAPSHOT_FIELDS(39);
 };
+
+/** Every fetched uop is zero-filled by the pool and scanned by the
+ *  RS; keep per-branch state out of it (see BranchState). */
+static_assert(sizeof(DynInst) <= 256, "DynInst grew past 256 bytes");
 
 } // namespace cdfsim::ooo
 

@@ -32,8 +32,10 @@ namespace cdfsim::sim
 {
 
 /** Bumped whenever any save()/restore() layout changes. Stale
- *  on-disk checkpoints are rejected, never migrated. */
-inline constexpr std::uint32_t kCheckpointSchemaVersion = 1;
+ *  on-disk checkpoints are rejected, never migrated.
+ *  2: branch checkpoints moved from DynInst into the core's
+ *  branch-state pool; DBQ checkpoints hold pool handles. */
+inline constexpr std::uint32_t kCheckpointSchemaVersion = 2;
 
 /** A complete post-warmup simulator state. */
 struct Checkpoint

@@ -3,7 +3,8 @@
  * Corruption tests for the system-level audit walks: the core's RS
  * wakeup cache (Core::auditRsWakeupCache), its rename maps
  * (Core::auditRenameMaps), its LSQ/ROB age ordering
- * (Core::auditLsqRobAge), the memory hierarchy's LLC probe memo
+ * (Core::auditLsqRobAge), its branch-state pool ownership
+ * (Core::auditBranchStates), the memory hierarchy's LLC probe memo
  * (MemHierarchy::auditProbeCache), and the CDF side tables
  * (CriticalCountTable::auditInvariants, MaskCache::auditInvariants).
  *
@@ -383,6 +384,80 @@ struct AuditPeer
         c.critRat_.table_[1] = c.critRat_.table_[0];
         return true;
     }
+
+    // --- Core: branch-state pool ------------------------------------
+
+    /** First in-flight instruction matching @p pred (nullptr if
+     *  none), oldest first. */
+    template <typename Pred>
+    static ooo::DynInst *
+    findInflight(ooo::Core &c, Pred &&pred)
+    {
+        for (std::uint32_t i = c.inflightHead_; i != ooo::kNoInst;
+             i = c.inflightPool_.at(i).nextIdx) {
+            ooo::DynInst &inst = c.inflightPool_.at(i);
+            if (pred(inst))
+                return &inst;
+        }
+        return nullptr;
+    }
+
+    /** A slot no instruction or DBQ checkpoint owns: a free path
+     *  (squash, DBQ clear, destroyInst) that forgot to release. */
+    static void
+    leakBranchState(ooo::Core &c)
+    {
+        c.branchStates_.allocate();
+    }
+
+    /** Hand a branch's slot to a second in-flight instruction. */
+    static bool
+    doublyOwnBranchState(ooo::Core &c)
+    {
+        const ooo::DynInst *owner =
+            findInflight(c, [](const ooo::DynInst &inst) {
+                return inst.branchState != ooo::kNoBranchState;
+            });
+        ooo::DynInst *thief =
+            findInflight(c, [](const ooo::DynInst &inst) {
+                return inst.branchState == ooo::kNoBranchState;
+            });
+        if (!owner || !thief)
+            return false;
+        thief->branchState = owner->branchState;
+        return true;
+    }
+
+    /** Release a slot its owner still names (use after free). */
+    static bool
+    freeOwnedBranchState(ooo::Core &c)
+    {
+        const ooo::DynInst *owner =
+            findInflight(c, [](const ooo::DynInst &inst) {
+                return inst.branchState != ooo::kNoBranchState;
+            });
+        if (!owner)
+            return false;
+        c.branchStates_.free(owner->branchState);
+        return true;
+    }
+
+    /** Give an in-flight instruction the slot a DBQ checkpoint owns
+     *  (the regular stream taking it over without erasing it). */
+    static bool
+    doublyOwnDbqBranchState(ooo::Core &c)
+    {
+        if (c.dbqCkpts_.empty())
+            return false;
+        ooo::DynInst *thief =
+            findInflight(c, [](const ooo::DynInst &inst) {
+                return inst.branchState == ooo::kNoBranchState;
+            });
+        if (!thief)
+            return false;
+        thief->branchState = c.dbqCkpts_.front().state;
+        return true;
+    }
 };
 
 } // namespace cdfsim
@@ -584,6 +659,45 @@ TEST_F(AuditSystem, LsqRobFiresOnVanishedRobEntry)
     EXPECT_THROW(c.auditLsqRobAge(), PanicError);
 }
 
+// ------------------------------------------------- branch states
+
+TEST_F(AuditSystem, BranchStatesSilentOnDrivenCore)
+{
+    EXPECT_NO_THROW(core().auditBranchStates());
+}
+
+TEST_F(AuditSystem, BranchStatesFireOnLeakedSlot)
+{
+    AuditPeer::leakBranchState(core());
+    EXPECT_THROW(core().auditBranchStates(), PanicError);
+}
+
+TEST_F(AuditSystem, BranchStatesFireOnDoublyOwnedSlot)
+{
+    auto &c = core();
+    bool corrupted = AuditPeer::doublyOwnBranchState(c);
+    for (int i = 0; i < 64 && !corrupted && !c.halted(); ++i) {
+        c.run(c.retired() + 2'000);
+        corrupted = AuditPeer::doublyOwnBranchState(c);
+    }
+    if (!corrupted)
+        GTEST_SKIP() << "never saw an in-flight branch";
+    EXPECT_THROW(c.auditBranchStates(), PanicError);
+}
+
+TEST_F(AuditSystem, BranchStatesFireOnFreedOwnedSlot)
+{
+    auto &c = core();
+    bool corrupted = AuditPeer::freeOwnedBranchState(c);
+    for (int i = 0; i < 64 && !corrupted && !c.halted(); ++i) {
+        c.run(c.retired() + 2'000);
+        corrupted = AuditPeer::freeOwnedBranchState(c);
+    }
+    if (!corrupted)
+        GTEST_SKIP() << "never saw an in-flight branch";
+    EXPECT_THROW(c.auditBranchStates(), PanicError);
+}
+
 // ------------------------------------------------- CDF side tables
 
 /**
@@ -637,6 +751,7 @@ TEST_F(AuditSystemCdf, SideTablesSilentOnDrivenCore)
     EXPECT_NO_THROW(AuditPeer::maskCache(c)->auditInvariants());
     EXPECT_NO_THROW(c.auditRenameMaps());
     EXPECT_NO_THROW(c.auditLsqRobAge());
+    EXPECT_NO_THROW(c.auditBranchStates());
 }
 
 TEST_F(AuditSystemCdf, CctFiresOnDuplicateTag)
@@ -692,6 +807,13 @@ TEST_F(AuditSystemCdf, CritRatFiresOnDuplicateMapping)
     expectFires(
         [](auto &c) { return AuditPeer::critRatDuplicateMapping(c); },
         [](auto &c) { c.auditRenameMaps(); });
+}
+
+TEST_F(AuditSystemCdf, BranchStatesFireOnDbqSlotAlsoOwnedByInst)
+{
+    expectFires(
+        [](auto &c) { return AuditPeer::doublyOwnDbqBranchState(c); },
+        [](auto &c) { c.auditBranchStates(); });
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 #include "bp/btb.hh"
 #include "bp/predictor.hh"
 #include "bp/tage.hh"
+#include "common/logging.hh"
+#include "common/serialize.hh"
 #include "common/stats.hh"
 
 using namespace cdfsim;
@@ -204,6 +206,41 @@ TEST(Ras, SnapshotRestore)
     EXPECT_EQ(ras.pop(), 11u);
 }
 
+TEST(Ras, FullDepthSnapshotSurvivesWraparoundAndWrongPath)
+{
+    Ras ras(kMaxRasDepth);
+    // Overfill so top wraps and the five oldest entries are lost.
+    const Addr pushes = kMaxRasDepth + 5;
+    for (Addr i = 1; i <= pushes; ++i)
+        ras.push(100 + i);
+    const Ras::Snapshot snap = ras.snapshot();
+    EXPECT_EQ(snap.size, kMaxRasDepth);
+
+    // Wrong path between snapshot and restore: pops, then pushes that
+    // overwrite slots the snapshot still needs.
+    for (int i = 0; i < 7; ++i)
+        ras.pop();
+    for (Addr i = 0; i < 12; ++i)
+        ras.push(9000 + i);
+    ras.pop();
+
+    ras.restore(snap);
+    for (Addr i = pushes; i > pushes - kMaxRasDepth; --i)
+        EXPECT_EQ(ras.pop(), 100 + i);
+    EXPECT_EQ(ras.pop(), 0u); // empty again
+}
+
+TEST(Ras, DepthBeyondCheckpointBoundIsRejected)
+{
+    EXPECT_NO_THROW(Ras{kMaxRasDepth});
+    EXPECT_THROW(Ras{kMaxRasDepth + 1}, PanicError);
+
+    StatRegistry s;
+    PredictorConfig config;
+    config.rasDepth = kMaxRasDepth + 1;
+    EXPECT_THROW(BranchPredictor(config, s), PanicError);
+}
+
 // --- BranchPredictor facade ---
 
 TEST(Predictor, DirectJumpPredictsTargetWithBtbMissBubble)
@@ -264,4 +301,42 @@ TEST(Predictor, CheckpointRecoveryRestoresRas)
     bp.recover(ckpt, true, 45);
     auto pr = bp.predict(45, ret); // must pop 8 again
     EXPECT_EQ(pr.target, 8u);
+}
+
+TEST(Predictor, CheckpointCodecRoundTripsByteIdentically)
+{
+    StatRegistry s;
+    BranchPredictor bp(PredictorConfig{}, s);
+    isa::Uop call{isa::Opcode::Call, 10, kInvalidReg, kInvalidReg, 40};
+    isa::Uop br{isa::Opcode::Bnez, kInvalidReg, 1, kInvalidReg, 99};
+    // Fill history, loop counters and a wrapped, full-depth RAS.
+    for (int i = 0; i < 40; ++i) {
+        bp.predict(7 + i, call);
+        auto p = bp.predict(11, br);
+        bp.update(11, br, i % 3 != 0, i % 3 != 0 ? 99 : 12, p.tageInfo);
+    }
+    const BpCheckpoint ckpt = bp.checkpoint();
+    ASSERT_EQ(ckpt.ras.depth, kMaxRasDepth);
+    ASSERT_EQ(ckpt.ras.size, kMaxRasDepth);
+
+    SnapWriter w;
+    save(w, ckpt);
+    BpCheckpoint back;
+    SnapReader r(w.bytes());
+    restore(r, back);
+    EXPECT_TRUE(r.done());
+    SnapWriter again;
+    save(again, back);
+    EXPECT_EQ(w.bytes(), again.bytes());
+
+    // The decoded copy rewinds the predictor exactly as the original.
+    auto stateAfterRestore = [&](const BpCheckpoint &c) {
+        bp.predict(90, call);
+        bp.predict(91, br);
+        bp.restore(c);
+        SnapWriter sw;
+        bp.save(sw);
+        return sw.take();
+    };
+    EXPECT_EQ(stateAfterRestore(ckpt), stateAfterRestore(back));
 }

@@ -432,3 +432,60 @@ TEST(SweepMemoization, CheckpointDirSharesAcrossRunners)
 
     std::filesystem::remove_all(dir);
 }
+
+TEST(SweepMemoization, PreviousSchemaFileIsRejectedAndRewarmed)
+{
+    // A checkpoint spilled by the previous schema (e.g. with branch
+    // checkpoints inline in every in-flight instruction) must be
+    // refused on its header and re-warmed, never decoded.
+    static_assert(sim::kCheckpointSchemaVersion > 1,
+                  "the test needs a previous schema version");
+    const std::filesystem::path dir = "sweep_ckpt_schema_test";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+
+    sim::SweepCell c;
+    c.workload = "astar";
+    c.mode = ooo::CoreMode::Cdf;
+    c.spec.warmupInstrs = 5'000;
+    c.spec.measureInstrs = 6'000;
+    const std::vector<sim::SweepCell> cells = {c};
+
+    sim::SweepRunner cold(1);
+    cold.setCheckpointDir(dir.string());
+    const auto first = cold.runAll(cells);
+    ASSERT_EQ(cold.ckptStats().misses, 1u);
+
+    ooo::CoreConfig keyConfig = c.config;
+    keyConfig.mode = c.mode;
+    const std::uint64_t key =
+        sim::warmupKey(c.workload, keyConfig, c.spec);
+    const std::string path =
+        (dir / sim::checkpointFileName(key)).string();
+    ASSERT_TRUE(sim::loadCheckpointFile(path, key).has_value());
+
+    // Rewrite the header's schema field (little-endian u32 after the
+    // 8-byte magic) to the previous version; the payload and its
+    // checksum stay valid, so only the version check can refuse it.
+    {
+        const std::uint32_t old = sim::kCheckpointSchemaVersion - 1;
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        f.seekp(8);
+        for (unsigned i = 0; i < 4; ++i)
+            f.put(static_cast<char>((old >> (8 * i)) & 0xFF));
+    }
+    EXPECT_FALSE(sim::loadCheckpointFile(path, key).has_value());
+
+    sim::SweepRunner warmRunner(1);
+    warmRunner.setCheckpointDir(dir.string());
+    const auto second = warmRunner.runAll(cells);
+    EXPECT_EQ(warmRunner.ckptStats().hits, 0u);
+    EXPECT_EQ(warmRunner.ckptStats().misses, 1u);
+    EXPECT_EQ(sim::toJson(first[0]).dump(),
+              sim::toJson(second[0]).dump());
+    // The re-warm spilled a current-schema file over the stale one.
+    EXPECT_TRUE(sim::loadCheckpointFile(path, key).has_value());
+
+    std::filesystem::remove_all(dir);
+}
