@@ -1,20 +1,23 @@
 /**
  * @file
- * Generic spec-driven sweep driver: runs any declarative sweep spec
- * (under bench/specs/) through the shared bench harness, so every
- * harness speedup layer — thread pool, --shard, --ckpt-dir,
- * idle-skip, --json artifacts — works on a grid described purely as
- * data. A threshold/partition/window study becomes a spec edit, not
- * a recompile.
+ * The sweep driver: runs a declarative sweep spec (bench/specs/<name>.json)
+ * through the shared bench harness, so every harness layer — thread
+ * pool, --shard, --ckpt-dir, idle-skip, --json artifacts — works on a
+ * grid described purely as data. Every paper figure and ablation is
+ * one spec run through this binary:
  *
  *   bench_sweep_spec --spec bench/specs/fig13_speedup.json \
  *       [any bench::Harness flag]
  *
- * Cell expansion order matches the legacy hand-written bench
- * matrices exactly (pinned by the spec_identity ctests), so a
- * spec-driven artifact is bit-identical (modulo "timing") to the
- * figure binary's. The driver prints a generic per-cell table; the
- * figure binaries keep their derived-metric tables and hooks.
+ * After the run it prints the figure table registered for the spec's
+ * "sweep" name (figure_tables.hh), or a generic per-cell table for a
+ * spec with none.
+ *
+ * Exit status: 0 when every cell this process ran is ok; 1 when any
+ * ran cell halted, truncated or errored (the table and artifact are
+ * still written, with those rows marked) or the artifact could not
+ * be written; 2 for a bad command line, an invalid spec, or a table
+ * that needs a cell the spec does not declare.
  */
 
 #include <cstdio>
@@ -24,6 +27,8 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/logging.hh"
+#include "figure_tables.hh"
 #include "sim/sweep_spec.hh"
 
 using namespace cdfsim;
@@ -40,6 +45,30 @@ usage(int code)
                  "  (--threads/--workloads/--json/--shard/--ckpt-dir/"
                  "... all apply)\n");
     std::exit(code);
+}
+
+/** The table for a spec with no figure printer: one row per cell. */
+void
+printCellTable(const bench::Harness &h, const std::string &title)
+{
+    bench::printHeader(title, {"variant", "status", "ipc", "mlp",
+                               "energy_uj"});
+    for (const auto &o : h.outcomes()) {
+        if (o.skipped)
+            continue;
+        if (o.failed()) {
+            std::printf("%-12s %12s %12s\n", o.cell.workload.c_str(),
+                        o.cell.variant.c_str(),
+                        o.error.empty() ? o.run.status() : "error");
+            continue;
+        }
+        std::printf("%-12s %12s %12s %12.3f %12.2f %12.1f\n",
+                    o.cell.workload.c_str(), o.cell.variant.c_str(),
+                    o.run.status(), o.run.core.ipc, o.run.core.mlp,
+                    o.run.energy.totalUj);
+    }
+    std::printf("\n%zu cell(s), %zu failed (%u threads)\n",
+                h.outcomes().size(), h.failures(), h.threads());
 }
 
 } // namespace
@@ -86,9 +115,8 @@ main(int argc, char **argv)
                      rest.data());
     // Validate --workloads against everything the spec names (exits
     // with the usual unknown-workload diagnostic); expansion then
-    // applies the filter per group with subset-intersection
-    // semantics, like the legacy benches with fixed subsets.
-    h.workloads(spec.workloadUnion());
+    // applies the filter per group, in filter order.
+    h.checkWorkloads(spec.workloadUnion());
     try {
         cells = spec.expand(ooo::CoreConfig{}, h.workloadFilter());
     } catch (const std::exception &e) {
@@ -105,24 +133,22 @@ main(int argc, char **argv)
     h.addCells(std::move(cells));
     h.run();
 
-    bench::printHeader(spec.name() + " (" + specPath + ")",
-                       {"variant", "status", "ipc", "mlp",
-                        "energy_uj"});
-    for (const auto &o : h.outcomes()) {
-        if (o.skipped)
-            continue;
-        if (o.failed()) {
-            std::printf("%-12s %12s %12s\n", o.cell.workload.c_str(),
-                        o.cell.variant.c_str(),
-                        o.error.empty() ? o.run.status() : "error");
-            continue;
-        }
-        std::printf("%-12s %12s %12s %12.3f %12.2f %12.1f\n",
-                    o.cell.workload.c_str(), o.cell.variant.c_str(),
-                    o.run.status(), o.run.core.ipc, o.run.core.mlp,
-                    o.run.energy.totalUj);
+    try {
+        if (const bench::TablePrinter print =
+                bench::findTablePrinter(spec.name()))
+            print(h);
+        else
+            printCellTable(h, spec.name() + " (" + specPath + ")");
+    } catch (const FatalError &e) {
+        std::fprintf(stderr,
+                     "bench_sweep_spec: %s: the %s table needs a cell "
+                     "the spec lacks (%s)\n",
+                     specPath.c_str(), spec.name().c_str(), e.what());
+        return 2;
     }
-    std::printf("\n%zu cell(s), %zu failed (%u threads)\n",
-                h.outcomes().size(), h.failures(), h.threads());
-    return h.finish();
+
+    const int rc = h.finish();
+    if (rc != 0)
+        return rc;
+    return h.failures() > 0 ? 1 : 0;
 }

@@ -1,11 +1,9 @@
 /**
  * @file
- * Shared harness for the figure-regeneration benchmark binaries.
- *
- * Every bench declares its run matrix as (workload, variant, mode,
- * config, spec) cells, then executes them through sim::SweepRunner
- * on a thread pool and reads results back by (workload, variant).
- * All binaries share one CLI:
+ * The bench harness behind bench_sweep_spec: runs an expanded sweep
+ * spec's (workload, variant, mode, config, window) cells through
+ * sim::SweepRunner on a thread pool and reads results back by
+ * (workload, variant). Its CLI:
  *
  *   --threads N          worker threads (default: hardware concurrency)
  *   --workloads a,b,c    restrict to a comma-separated subset
@@ -19,7 +17,7 @@
  *
  * --ckpt-dir persists post-warmup simulator snapshots keyed by
  * (workload, mode, warmup-relevant config, warmup length), so
- * figure benches sharing a matrix (fig13, then fig14/15/16) warm
+ * figure specs sharing a matrix (fig13, then fig14/15/16) warm
  * each cell once per DIR instead of once per process. Restoring is
  * bit-identical to warming (sim/snapshot.hh), so artifacts are
  * unchanged outside "timing"; checkpoint traffic is reported in
@@ -58,16 +56,6 @@
 
 namespace cdfsim::bench
 {
-
-/** Default per-benchmark run lengths for the figure harnesses. */
-inline sim::RunSpec
-figureRunSpec()
-{
-    sim::RunSpec spec;
-    spec.warmupInstrs = 300'000;
-    spec.measureInstrs = 200'000;
-    return spec;
-}
 
 /** Print a markdown-ish table header. */
 inline void
@@ -152,26 +140,11 @@ class Harness
 
     unsigned threads() const { return runner_.threads(); }
 
-    /** Apply the CLI instruction-count overrides to a bench default. */
-    sim::RunSpec
-    spec(sim::RunSpec defaults) const
+    /** Exit 2 with a one-line diagnostic when --workloads names a
+     *  workload outside @p available (everything the sweep names). */
+    void
+    checkWorkloads(const std::vector<std::string> &available) const
     {
-        if (measureInstrs_ != kUnset)
-            defaults.measureInstrs = measureInstrs_;
-        if (warmupInstrs_ != kUnset)
-            defaults.warmupInstrs = warmupInstrs_;
-        if (maxCycles_ != kUnset)
-            defaults.maxCycles = maxCycles_;
-        return defaults;
-    }
-
-    /** Apply the --workloads filter to the bench's workload list. */
-    std::vector<std::string>
-    workloads(const std::vector<std::string> &available) const
-    {
-        if (workloadFilter_.empty())
-            return available;
-        std::vector<std::string> out;
         for (const auto &want : workloadFilter_) {
             bool known = false;
             for (const auto &a : available)
@@ -183,50 +156,30 @@ class Harness
                              name_.c_str(), want.c_str());
                 std::exit(2);
             }
-            out.push_back(want);
         }
-        return out;
-    }
-
-    /** Queue one cell of the run matrix. */
-    void
-    add(const std::string &workload, const std::string &variant,
-        ooo::CoreMode mode, const ooo::CoreConfig &config,
-        const sim::RunSpec &spec)
-    {
-        sim::SweepCell cell;
-        cell.workload = workload;
-        cell.variant = variant;
-        cell.mode = mode;
-        cell.config = config;
-        cell.spec = spec;
-        add(std::move(cell));
-    }
-
-    /** Queue one pre-built cell (e.g. from SweepSpec::expand). */
-    void
-    add(sim::SweepCell cell)
-    {
-        cell.config.mode = cell.mode;
-        cell.config.profileStages = profile_;
-        index_[{cell.workload, cell.variant}] = cells_.size();
-        cells_.push_back(std::move(cell));
     }
 
     /** Queue a whole expanded matrix, preserving its order. The CLI
-     *  window overrides (--measure-instrs & co) are applied to every
-     *  cell, so they keep working through spec-driven benches. */
+     *  window overrides (--measure-instrs & co) apply to every
+     *  cell. */
     void
     addCells(std::vector<sim::SweepCell> cells)
     {
         for (auto &cell : cells) {
-            cell.spec = spec(cell.spec);
-            add(std::move(cell));
+            if (measureInstrs_ != kUnset)
+                cell.spec.measureInstrs = measureInstrs_;
+            if (warmupInstrs_ != kUnset)
+                cell.spec.warmupInstrs = warmupInstrs_;
+            if (maxCycles_ != kUnset)
+                cell.spec.maxCycles = maxCycles_;
+            cell.config.mode = cell.mode;
+            cell.config.profileStages = profile_;
+            index_[{cell.workload, cell.variant}] = cells_.size();
+            cells_.push_back(std::move(cell));
         }
     }
 
-    /** The raw --workloads filter (empty when the flag was absent),
-     *  for matrix builders with their own subset semantics. */
+    /** The raw --workloads filter (empty when the flag was absent). */
     const std::vector<std::string> &
     workloadFilter() const
     {
@@ -391,9 +344,9 @@ class Harness
     Json &derived() { return derived_; }
 
     /**
-     * Write the JSON artifact when --json was given. Returns the
-     * process exit code (0; sweeps with failed cells still emit
-     * their partial figures, the rows are just marked).
+     * Write the JSON artifact when --json was given. Returns 0, or 1
+     * when the artifact cannot be written. Failed cells do not count
+     * here: their rows are marked and the artifact still written.
      */
     int
     finish() const

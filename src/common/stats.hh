@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal named-statistics registry.
+ * Minimal named-statistics registry, plus a streaming mean.
  *
  * Every hardware structure in the timing model registers counters
  * here (accesses, hits, flushes, ...). The energy model consumes the
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/serialize.hh"
 
 namespace cdfsim
 {
@@ -74,6 +75,62 @@ class StatRegistry
 
   private:
     std::map<std::string, std::uint64_t> counters_;
+};
+
+/** Streaming mean without storing samples. */
+class RunningMean
+{
+  public:
+    void
+    add(double v)
+    {
+        sum_ += v;
+        ++n_;
+    }
+
+    /**
+     * Account @p n samples of the same value in one step. Exactly
+     * equivalent to calling add(v) n times when v and v*n are
+     * integers below 2^53: integer-valued doubles add exactly, so
+     * v + v + ... (n times) == v * n bit-for-bit. The idle-skip fast
+     * path relies on this to bulk-apply the per-cycle MLP sample.
+     */
+    void
+    addRepeated(double v, std::uint64_t n)
+    {
+        sum_ += v * static_cast<double>(n);
+        n_ += n;
+    }
+
+    double mean() const { return n_ == 0 ? 0.0 : sum_ / n_; }
+    std::uint64_t samples() const { return n_; }
+
+    void
+    reset()
+    {
+        sum_ = 0.0;
+        n_ = 0;
+    }
+
+    void
+    save(SnapWriter &w) const
+    {
+        w.f64(sum_);
+        w.u64(n_);
+    }
+
+    void
+    restore(SnapReader &r)
+    {
+        sum_ = r.f64();
+        n_ = r.u64();
+    }
+
+  private:
+    SIM_SNAPSHOT_FIELDS(2);
+
+    double sum_ = 0.0;
+    std::uint64_t n_ = 0;
 };
 
 } // namespace cdfsim

@@ -30,7 +30,6 @@
 #include "cdf/uop_cache.hh"
 #include "common/circular_queue.hh"
 #include "common/flat_map.hh"
-#include "common/histogram.hh"
 #include "common/pool.hh"
 #include "common/serialize.hh"
 #include "common/stats.hh"

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "energy/energy_model.hh"
 #include "workloads/workloads.hh"
 
 namespace cdfsim::sim
@@ -193,6 +195,21 @@ applyConfigOverride(ooo::CoreConfig &config, const std::string &key,
 
     // Core-level knobs.
     if (key == "scale_window") {
+        // The one symbolic factor: the window growth that spends CDF's
+        // extra structure area on a bigger baseline (Fig. 17), taken
+        // from the config as it stands at this override.
+        if (value.type() == Json::Type::String) {
+            if (value.asString() != "cdf_area_equivalent")
+                specError(where, "unknown scale_window '" +
+                                     value.asString() +
+                                     "' (want a number or "
+                                     "\"cdf_area_equivalent\")");
+            const double cdfAreaFrac =
+                energy::Model::cdfArea(config) /
+                energy::Model::coreArea(config);
+            config.scaleWindow(1.0 + cdfAreaFrac * 4.0);
+            return;
+        }
         config.scaleWindow(needNumber(value, where));
         return;
     }
@@ -557,6 +574,10 @@ SweepSpec::fromJson(const Json &doc, const std::string &where)
 SweepSpec
 SweepSpec::fromFile(const std::string &path)
 {
+    std::error_code ec;
+    if (std::filesystem::exists(path, ec) &&
+        !std::filesystem::is_regular_file(path, ec))
+        throw std::runtime_error(path + ": not a regular file");
     std::ifstream in(path);
     if (!in)
         throw std::runtime_error(path + ": cannot read spec file");
@@ -595,9 +616,9 @@ SweepSpec::expand(const ooo::CoreConfig &base,
             name_ + ": groups[" + std::to_string(gi) + "]";
 
         // --workloads semantics: restrict to the filter, in FILTER
-        // order (the legacy benches iterate h.workloads(), which
-        // preserves the user's order). Groups whose workloads are
-        // all filtered out contribute nothing.
+        // order (the user's order, which the figure tables' rows
+        // follow). Groups whose workloads are all filtered out
+        // contribute nothing.
         std::vector<std::string> effective;
         if (filter.empty()) {
             effective = g.workloads;

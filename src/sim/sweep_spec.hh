@@ -2,23 +2,21 @@
  * @file
  * Declarative sweep descriptions (ROADMAP: "Config sweeps as data").
  *
- * Every figure/ablation bench runs the same shape of matrix —
- * (workload x mode x config overrides x run window) — but each used
- * to hand-write it as C++ loops. SweepSpec is the data form of that
- * matrix: named workload sets, variant lists, config-override axes
- * (cross-product or zipped) and run-window overrides, expanded into
- * the exact SweepCell list SweepRunner consumes. A spec can be built
- * in C++ (the bench binaries declare their grids this way) or parsed
- * from a schema-versioned JSON file (under `bench/specs/`, run by
- * the generic `bench_sweep_spec` driver), and both forms expand to
- * identical cell lists.
+ * Every figure/ablation sweep is the same shape of matrix —
+ * (workload x mode x config overrides x run window). SweepSpec is the
+ * data form of that matrix: named workload sets, variant lists,
+ * config-override axes (cross-product or zipped) and run-window
+ * overrides, expanded into the exact SweepCell list SweepRunner
+ * consumes. The checked-in figure grids are schema-versioned JSON
+ * files under `bench/specs/`, run by the `bench_sweep_spec` driver;
+ * the C++ builder form expands identically and serves tests and
+ * embedders.
  *
  * Expansion order is deterministic and part of the contract: for
  * each group in declaration order, for each axis-value combination
  * (first axis outermost; zipped axes advance in lockstep), for each
- * workload, for each variant. This reproduces the legacy bench
- * loops cell-for-cell, which the spec-vs-legacy identity ctests
- * pin at bench_compare --tolerance 0.
+ * workload, for each variant. The figure tables walk their rows in
+ * this order, so their geomeans see a fixed input order.
  *
  * Validation failures throw std::runtime_error with a message that
  * names the offending spec path (e.g. "groups[2].variants[1].mode").
@@ -195,8 +193,8 @@ class SweepSpec
     /**
      * Expand to the cell list, in the documented deterministic
      * order. @p filter, when non-empty, restricts each group to the
-     * filter's workloads in FILTER order (matching the legacy
-     * benches' --workloads semantics); entries no group names are
+     * filter's workloads in FILTER order (the harness's --workloads
+     * semantics); entries no group names are
      * ignored here — validate them against workloadUnion() first.
      * Throws std::runtime_error on duplicate (workload, variant)
      * cells or invalid overrides, naming the spec path.
@@ -216,7 +214,10 @@ class SweepSpec
 /**
  * Apply one dotted snake_case override (see the README schema table
  * for the key registry) to @p config. "scale_window" is an action:
- * it calls CoreConfig::scaleWindow. Throws std::runtime_error
+ * it calls CoreConfig::scaleWindow with a number, or with the string
+ * "cdf_area_equivalent" meaning 1 + 4 x cdfArea / coreArea of
+ * @p config as it stands (the Fig. 17 area-equivalent baseline).
+ * Throws std::runtime_error
  * prefixed with @p where on unknown keys or type mismatches.
  */
 void applyConfigOverride(ooo::CoreConfig &config,

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the foundation utilities: saturating counters,
- * circular queues, the stat registry, histograms, the PRNG and the
- * logging helpers.
+ * circular queues, the stat registry, the running mean, the PRNG and
+ * the logging helpers.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <set>
 
 #include "common/circular_queue.hh"
-#include "common/histogram.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -285,36 +284,7 @@ TEST(Json, NestedDumpIsDeterministic)
               "      \"ok\": true\n    }\n  ]\n}\n");
 }
 
-// --- Histogram ---
-
-TEST(Histogram, MeanAndBuckets)
-{
-    Histogram h(8);
-    h.add(1);
-    h.add(3);
-    h.add(3);
-    h.add(5);
-    EXPECT_EQ(h.samples(), 4u);
-    EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-    EXPECT_EQ(h.bucket(3), 2u);
-}
-
-TEST(Histogram, OverflowBucket)
-{
-    Histogram h(4);
-    h.add(100);
-    h.add(4);
-    EXPECT_EQ(h.bucket(4), 2u); // both land in the overflow bucket
-}
-
-TEST(Histogram, FractionAtLeast)
-{
-    Histogram h(10);
-    for (std::uint64_t v : {1, 2, 8, 9})
-        h.add(v);
-    EXPECT_DOUBLE_EQ(h.fractionAtLeast(8), 0.5);
-    EXPECT_DOUBLE_EQ(h.fractionAtLeast(0), 1.0);
-}
+// --- RunningMean ---
 
 TEST(RunningMean, Basics)
 {

@@ -3,8 +3,9 @@
  * Unit tests for sim::SweepSpec: deterministic expansion order
  * (groups -> axis combinations -> workloads -> variants), product vs
  * zipped axes, --workloads filter semantics, builder/JSON
- * equivalence, the config-override registry, and the validation
- * errors that must name the offending spec path.
+ * equivalence, the config-override registry, the validation errors
+ * that must name the offending spec path, and the checked-in specs'
+ * literals that copy CoreConfig defaults.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "energy/energy_model.hh"
 #include "ooo/core_config.hh"
 #include "sim/sweep_spec.hh"
 #include "workloads/workloads.hh"
@@ -210,6 +212,91 @@ TEST(SweepSpec, ScaleWindowOverrideMatchesCoreConfigScaleWindow)
     EXPECT_EQ(viaSpec.physRegs, direct.physRegs);
 }
 
+TEST(SweepSpec, ScaleWindowCdfAreaEquivalentMatchesAreaRatio)
+{
+    // The Fig. 17 area-equivalent baseline: grow the window by four
+    // times CDF's structure area as a fraction of the core's.
+    const CoreConfig base;
+    const double cdfAreaFrac = cdfsim::energy::Model::cdfArea(base) /
+                               cdfsim::energy::Model::coreArea(base);
+    CoreConfig direct = base;
+    direct.scaleWindow(1.0 + cdfAreaFrac * 4.0);
+    ASSERT_GT(direct.robSize, base.robSize);
+
+    CoreConfig viaSpec;
+    cdfsim::sim::applyConfigOverride(viaSpec, "scale_window",
+                                     Json("cdf_area_equivalent"),
+                                     "here");
+    EXPECT_EQ(viaSpec.robSize, direct.robSize);
+    EXPECT_EQ(viaSpec.rsSize, direct.rsSize);
+    EXPECT_EQ(viaSpec.lqSize, direct.lqSize);
+    EXPECT_EQ(viaSpec.sqSize, direct.sqSize);
+    EXPECT_EQ(viaSpec.physRegs, direct.physRegs);
+
+    // The checked-in Fig. 17 spec's base_big cells get that window.
+    const auto cells =
+        SweepSpec::fromFile(CDFSIM_SPEC_DIR "/fig17_scaling.json")
+            .expand(CoreConfig{});
+    unsigned bigCells = 0;
+    for (const SweepCell &c : cells) {
+        if (c.variant != "base_big")
+            continue;
+        ++bigCells;
+        EXPECT_EQ(c.config.robSize, direct.robSize) << c.workload;
+    }
+    EXPECT_EQ(bigCells, 6u);
+}
+
+TEST(SweepSpec, ScaleWindowRejectsOtherStrings)
+{
+    const Json doc = parseOrDie(R"({
+        "sweep": "t", "schema_version": 1,
+        "groups": [{"workloads": ["astar"], "variants": [
+            {"name": "v", "mode": "baseline",
+             "config": {"scale_window": "area_equivalent"}}]}]})");
+    const SweepSpec spec = SweepSpec::fromJson(doc, "bad.json");
+    expectSpecError([&] { spec.expand(CoreConfig{}); },
+                    "groups[0].variants[0].config.scale_window");
+    expectSpecError([&] { spec.expand(CoreConfig{}); },
+                    "'area_equivalent'");
+}
+
+TEST(SweepSpec, PermissiveVariantsMatchCoreConfigDefaults)
+{
+    // These variants copy the CCT permissive bits/thresholds into the
+    // strict counters as literals; they must track CoreConfig.
+    const CoreConfig defaults;
+    const std::vector<std::pair<std::string, std::string>> specs = {
+        {"ablation_thresholds.json", "permissive"},
+        {"smoke.json", "cdf_permissive"}};
+    for (const auto &[file, variant] : specs) {
+        const auto cells =
+            SweepSpec::fromFile(std::string(CDFSIM_SPEC_DIR "/") + file)
+                .expand(CoreConfig{});
+        unsigned matched = 0;
+        for (const SweepCell &c : cells) {
+            if (c.variant != variant)
+                continue;
+            ++matched;
+            const auto &load = c.config.cdf.loadTable;
+            const auto &branch = c.config.cdf.branchTable;
+            EXPECT_EQ(load.strictBits,
+                      defaults.cdf.loadTable.permissiveBits)
+                << file;
+            EXPECT_EQ(load.strictThreshold,
+                      defaults.cdf.loadTable.permissiveThreshold)
+                << file;
+            EXPECT_EQ(branch.strictBits,
+                      defaults.cdf.branchTable.permissiveBits)
+                << file;
+            EXPECT_EQ(branch.strictThreshold,
+                      defaults.cdf.branchTable.permissiveThreshold)
+                << file;
+        }
+        EXPECT_GT(matched, 0u) << file << " has no " << variant;
+    }
+}
+
 TEST(SweepSpec, WorkloadSetAndStarResolve)
 {
     SweepSpec spec("t");
@@ -379,6 +466,12 @@ TEST(SweepSpec, FromFileRejectsMissingFile)
     expectSpecError(
         [] { SweepSpec::fromFile("/no/such/spec.json"); },
         "/no/such/spec.json");
+}
+
+TEST(SweepSpec, FromFileRejectsDirectory)
+{
+    expectSpecError([] { SweepSpec::fromFile(CDFSIM_SPEC_DIR); },
+                    CDFSIM_SPEC_DIR ": not a regular file");
 }
 
 } // namespace
