@@ -25,8 +25,6 @@ Core::Core(const CoreConfig &config, const isa::Program &program,
       stats_(stats),
       oracle_(program, memory),
       walker_(program, memory),
-      cdfWalker_(program, memory),
-      raWalker_(program, memory),
       mem_(config.mem, stats),
       bp_(config.bp, stats),
       prf_(config.physRegs),
@@ -283,7 +281,6 @@ Core::tick()
               " critQ=", critQ_.size(), " cmq=",
               cmq_ ? std::to_string(cmq_->size()) : "-", " dbq=",
               dbq_ ? std::to_string(dbq_->size()) : "-",
-              " regNextTs=", regNextTs_, " regWp=", regWrongPath_,
               " covered=", critCoveredUpTo_,
               " nextFetchTs=", nextFetchTs_, " wrongPath=", wrongPath_,
               " fetchHalt=", fetchDoneHalt_, " stallUntil=",
@@ -406,6 +403,7 @@ Core::icacheGate(Addr pc, unsigned &budget)
 void
 Core::fetchStage()
 {
+    SIM_AUDIT_ONLY(if (fetchAudit_.due()) auditFrontend();)
     if (raActive_ && now_ >= raEndCycle_)
         exitRunahead();
 
@@ -421,50 +419,125 @@ Core::fetchStage()
         return;
     }
 
-    if (config_.mode == CoreMode::Cdf && cdfMode_) {
+    if (!criticalFetchIdle()) {
         // Both fetch engines run in parallel with their own
         // bandwidth (separate structures: uop cache vs I-cache).
         unsigned critBudget = config_.width;
-        if (!cdfDraining_)
-            fetchCriticalCdf(critBudget);
-        fetchRegularCdf(budget);
-        return;
+        fetchCriticalCdf(critBudget);
     }
-
-    fetchRegularBaseline(budget);
+    fetchRegular(budget);
 }
 
+bool
+Core::criticalFetchIdle() const
+{
+    return !cdfMode_ || cdfDraining_ || critWpStuck_ || critQ_.full() ||
+           dbq_->full();
+}
+
+/**
+ * Where the regular stream's next record comes from: the oracle at
+ * nextFetchTs_ while on path (in CDF mode only what critical fetch
+ * already covered), past a misprediction the walker at wrongPathPc_
+ * outside CDF mode or the records critical fetch buffered in it. A
+ * branch in CDF mode also needs its DBQ entry: the regular stream
+ * replays critical fetch's prediction instead of making its own.
+ */
+Core::RegularFetch
+Core::regularFetchReady()
+{
+    if (frontQ_.full())
+        return RegularFetch::Wait;
+
+    if (!cdfMode_) {
+        if (!wrongPath_) {
+            return oracle_.hasRecord(nextFetchTs_) ? RegularFetch::Record
+                                                   : RegularFetch::OracleDry;
+        }
+        // Fetching garbage or a halt: stall until recovery.
+        const isa::Program &prog = oracle_.program();
+        return prog.validPc(wrongPathPc_) && !prog.at(wrongPathPc_).isHalt()
+                   ? RegularFetch::Record
+                   : RegularFetch::Wait;
+    }
+
+    // Graceful exit: the regular stream caught up with the critical
+    // fetch and no delayed branches remain.
+    const bool wpDrained = wpConsumeIdx_ >= wpRecords_.size();
+    if (cdfDraining_ && !wrongPath_ && nextFetchTs_ >= critCoveredUpTo_ &&
+        wpDrained)
+        return RegularFetch::CdfExit;
+
+    const isa::ExecRecord *rec;
+    if (!wrongPath_) {
+        if (nextFetchTs_ >= critCoveredUpTo_)
+            return RegularFetch::Wait; // the critical fetch leads
+        rec = &oracle_.at(nextFetchTs_);
+    } else {
+        if (wpDrained)
+            return RegularFetch::Wait; // wait for the critical walker
+        rec = &wpRecords_[wpConsumeIdx_].rec;
+    }
+    if (rec->uop.isBranch() && dbq_->empty())
+        return RegularFetch::Wait; // no direction to follow yet
+    return RegularFetch::Record;
+}
+
+/**
+ * The regular fetch stream of every mode (paper Section 3.3: in CDF
+ * mode it is the ordinary fetch engine, steered by the DBQ). Outside
+ * CDF mode a branch is predicted and checkpointed here; in it, its
+ * direction is the DBQ head and its checkpoint the one critical fetch
+ * took.
+ */
 void
-Core::fetchRegularBaseline(unsigned &budget)
+Core::fetchRegular(unsigned &budget)
 {
     while (budget > 0) {
-        if (frontQ_.full())
+        switch (regularFetchReady()) {
+        case RegularFetch::Record:
+            break;
+        case RegularFetch::Wait:
             return;
+        case RegularFetch::OracleDry:
+            fetchDoneHalt_ = true;
+            return;
+        case RegularFetch::CdfExit:
+            finishCdfExit();
+            return;
+        }
 
-        // Pick the next record: oracle when on the correct path,
-        // functional wrong-path walk otherwise.
+        const bool onPath = !wrongPath_;
         isa::ExecRecord rec;
         SeqNum ts;
-        if (!wrongPath_) {
-            if (!oracle_.hasRecord(nextFetchTs_)) {
-                fetchDoneHalt_ = true;
-                return;
-            }
-            rec = oracle_.at(nextFetchTs_);
+        bool critical = false;
+        if (onPath) {
             ts = nextFetchTs_;
-
-            // CDF entry check at basic-block starts.
-            if (config_.mode == CoreMode::Cdf && fetchAtBbStart_) {
+            rec = oracle_.at(ts);
+            if (cdfMode_) {
+                // Criticality bits from the BB info queue.
+                while (!bbInfoQ_.empty()) {
+                    const BbInfo &bi = bbInfoQ_.front();
+                    if (ts >= bi.baseTs + bi.critBits.size()) {
+                        bbInfoQ_.pop_front();
+                        continue;
+                    }
+                    if (ts >= bi.baseTs)
+                        critical = bi.critBits[ts - bi.baseTs];
+                    break;
+                }
+            } else if (fetchAtBbStart_) {
+                // CDF entry check at basic-block starts.
                 maybeEnterCdfMode(rec.pc, ts);
                 if (cdfMode_)
                     return;
             }
+        } else if (cdfMode_) {
+            const WpRecord &w = wpRecords_[wpConsumeIdx_];
+            rec = w.rec;
+            ts = w.ts;
+            critical = w.critical;
         } else {
-            if (!oracle_.program().validPc(wrongPathPc_))
-                return; // fetching garbage: stall until recovery
-            const isa::Uop &wuop = oracle_.program().at(wrongPathPc_);
-            if (wuop.isHalt())
-                return;
             rec = walker_.execute(wrongPathPc_);
             ts = ++wrongPathTs_;
         }
@@ -472,11 +545,12 @@ Core::fetchRegularBaseline(unsigned &budget)
         if (!icacheGate(rec.pc, budget))
             return;
 
-        DynInst *inst = makeInst(rec, ts, !wrongPath_);
-        inst->critical = false;
+        DynInst *inst = makeInst(rec, ts, onPath);
+        inst->cdfFetched = cdfMode_;
+        inst->critical = critical;
 
         // Fig. 1 observation: mark using the trained mask cache.
-        if (config_.observeCriticality && maskCache_) {
+        if (config_.observeCriticality && maskCache_ && !cdfMode_) {
             if (fetchAtBbStart_) {
                 fetchBbStartPc_ = rec.pc;
                 fetchBbOffset_ = 0;
@@ -488,60 +562,135 @@ Core::fetchRegularBaseline(unsigned &budget)
             }
         }
 
+        Addr followPc = rec.pc + 1; // where this stream goes next
         bool endGroup = false;
         if (inst->isBranch()) {
-            ++statBranches_;
-            inst->branchState = checkpointBranch();
-            auto pred = bp_.predict(rec.pc, rec.uop);
-            inst->predTaken = pred.taken;
-            inst->predTarget = pred.target;
-            inst->btbMissBubble = pred.btbMiss;
-
-            if (!wrongPath_) {
-                const bool correct = pred.taken == rec.taken &&
-                                     (!pred.taken ||
-                                      pred.target == rec.nextPc);
-                inst->mispredicted = !correct;
-                if (inst->mispredicted) {
-                    wrongPath_ = true;
-                    wrongPathTs_ = ts;
-                    wrongPathPc_ =
-                        pred.taken ? pred.target : rec.pc + 1;
-                    walker_.restart(oracle_.frontierRegs());
-                } else {
-                    ++nextFetchTs_;
+            if (cdfMode_) {
+                const cdf::DbqEntry dbqEntry = dbq_->front();
+                SIM_ASSERT(dbqEntry.ts == ts, "DBQ head out of sync: ",
+                           dbqEntry.ts, " vs ", ts);
+                dbq_->pop();
+                inst->predTaken = dbqEntry.taken;
+                inst->predTarget = dbqEntry.target;
+                if (!critical) {
+                    // Non-critical branch: it executes in the backend
+                    // via the regular stream and takes over the branch
+                    // state checkpointed at critical-fetch prediction
+                    // time. Entries are ts-ordered, so the match is
+                    // usually the oldest.
+                    auto it = std::find_if(
+                        dbqCkpts_.begin(), dbqCkpts_.end(),
+                        [&](const DbqCheckpoint &c) { return c.ts == ts; });
+                    if (it != dbqCkpts_.end()) {
+                        inst->branchState = it->state;
+                        inst->btbMissBubble = it->btbMiss;
+                        dbqCkpts_.erase(it);
+                    }
+                    ++statBranches_;
                 }
             } else {
-                wrongPathPc_ = pred.taken ? pred.target : rec.pc + 1;
+                ++statBranches_;
+                inst->branchState = checkpointBranch();
+                const auto pred = bp_.predict(rec.pc, rec.uop);
+                inst->predTaken = pred.taken;
+                inst->predTarget = pred.target;
+                inst->btbMissBubble = pred.btbMiss;
+                if (pred.taken)
+                    endGroup = true;
+                if (pred.btbMiss) {
+                    fetchStallUntil_ = now_ + config_.btbMissPenalty;
+                    endGroup = true;
+                }
             }
+            if (inst->predTaken)
+                followPc = inst->predTarget;
 
-            if (pred.taken)
-                endGroup = true;
-            if (pred.btbMiss) {
-                fetchStallUntil_ = now_ + config_.btbMissPenalty;
-                endGroup = true;
+            if (onPath) {
+                const bool wrong = inst->predTaken != rec.taken ||
+                                   (inst->predTaken &&
+                                    inst->predTarget != rec.nextPc);
+                // A critical branch's copy in the critical stream
+                // owns the mispredict flag.
+                inst->mispredicted = wrong && !critical;
+                if (wrong) {
+                    wrongPath_ = true;
+                    if (!cdfMode_) {
+                        // Outside CDF mode this stream walks its own
+                        // wrong path from the divergence.
+                        wrongPathTs_ = ts;
+                        walker_.restart(oracle_.frontierRegs());
+                    }
+                }
             }
             fetchAtBbStart_ = true;
-            ++fetchBbOffset_; // branch occupies a slot in its block
         } else {
-            if (!wrongPath_) {
-                ++nextFetchTs_;
-            } else {
-                ++wrongPathPc_;
-            }
             fetchAtBbStart_ = false;
-            ++fetchBbOffset_;
             if (rec.uop.isHalt()) {
                 fetchDoneHalt_ = true;
                 endGroup = true;
             }
         }
+        ++fetchBbOffset_; // a branch occupies a slot in its block
+
+        // Advance the cursor of the source the record came from.
+        if (onPath)
+            nextFetchTs_ = ts + 1;
+        else if (cdfMode_)
+            ++wpConsumeIdx_;
+        if (wrongPath_ && !cdfMode_)
+            wrongPathPc_ = followPc;
 
         frontQ_.push(inst);
         --budget;
         if (endGroup)
             return;
     }
+}
+
+bool
+Core::walkBlock(const cdf::BbTrace &trace)
+{
+    const isa::Program &prog = oracle_.program();
+    walkedBlock_.clear();
+    for (unsigned off = 0; off < trace.blockLength; ++off) {
+        const Addr pc = trace.startPc + off;
+        if (!prog.validPc(pc) || prog.at(pc).isHalt())
+            return false;
+        walkedBlock_.push_back(walker_.execute(pc));
+    }
+    return true;
+}
+
+void
+Core::auditFrontend() const
+{
+    const bool held = (!cdfMode_ && wrongPath_) ||
+                      (cdfMode_ && !critOnPath_) || raActive_;
+    SIM_ASSERT(walker_.active() == held, "wrong-path walker is ",
+               walker_.active() ? "active" : "inactive", " but ",
+               held ? "a user holds it" : "no user holds it",
+               " (cdfMode=", cdfMode_, " wrongPath=", wrongPath_,
+               " critOnPath=", critOnPath_, " raActive=", raActive_, ")");
+
+    const auto checkOrder = [](const CircularQueue<DynInst *> &q,
+                               const char *what) {
+        for (std::size_t i = 1; i < q.size(); ++i) {
+            SIM_ASSERT(q.at(i - 1)->ts < q.at(i)->ts, what, " entry ", i,
+                       " (ts ", q.at(i)->ts, ") is not younger than ts ",
+                       q.at(i - 1)->ts);
+        }
+    };
+    checkOrder(frontQ_, "frontQ");
+    checkOrder(critQ_, "critQ");
+
+    for (std::size_t i = 1; i < wpRecords_.size(); ++i) {
+        SIM_ASSERT(wpRecords_[i - 1].ts < wpRecords_[i].ts,
+                   "wrong-path record ", i, " (ts ", wpRecords_[i].ts,
+                   ") is not younger than ts ", wpRecords_[i - 1].ts);
+    }
+    SIM_ASSERT(wpConsumeIdx_ <= wpRecords_.size(),
+               "wrong-path consume index ", wpConsumeIdx_,
+               " is past the ", wpRecords_.size(), " buffered records");
 }
 
 void

@@ -199,6 +199,18 @@ class Core
     void auditBranchStates() const;
 
     /**
+     * Fetch-frontend walk: the shared wrong-path walker is active
+     * exactly while one of its three users holds it (the baseline
+     * wrong path, the CDF critical stream off path, a runahead
+     * episode), frontQ_ and critQ_ are strictly ts-ordered (the
+     * squash truncation relies on it), and wpRecords_ is strictly
+     * ts-ordered with its consume index in range. Always compiled;
+     * sampled from the fetch stage in Audit builds and run after
+     * every restore.
+     */
+    void auditFrontend() const;
+
+    /**
      * Serialize the complete architectural + microarchitectural core
      * state (core_snapshot.cc). Host-only measurement state (stage
      * profile, idle-skip bookkeeping) is excluded, so the payload is
@@ -228,10 +240,27 @@ class Core
     void renameCritical(unsigned &slots);
     bool renameRegularOne();
     void fetchStage();
-    void fetchRegularBaseline(unsigned &budget);
+    void fetchRegular(unsigned &budget);
     void fetchCriticalCdf(unsigned &budget);
-    void fetchRegularCdf(unsigned &budget);
     void statsStage();
+
+    /** What the regular fetch stream would do with its next slot. */
+    enum class RegularFetch : unsigned char
+    {
+        Record,    //!< a record is ready: fetch it
+        Wait,      //!< blocked until another stage or engine acts
+        OracleDry, //!< on path past the program's last record
+        CdfExit,   //!< CDF drain finished: the graceful exit fires
+    };
+    /**
+     * The one readiness test of the regular stream, shared by
+     * fetchRegular() and the idle-skip bound. Not const: on the
+     * baseline path it asks the oracle for the record at the cursor,
+     * which materializes it exactly where fetch itself would.
+     */
+    RegularFetch regularFetchReady();
+    /** True when the critical fetch engine has nothing to do. */
+    bool criticalFetchIdle() const;
 
     // --- Instruction lifecycle ---
     DynInst *makeInst(const isa::ExecRecord &rec, SeqNum ts, bool onPath);
@@ -256,10 +285,15 @@ class Core
     void dependenceViolationRecovery(SeqNum violTs);
     void memoryOrderViolation(DynInst *load);
     void squashYoungerThan(SeqNum flushTs);
+    /** Restart the regular stream on path at @p ts after a flush. */
+    void redirectFetch(SeqNum ts);
 
     // --- CDF mode control ---
     void maybeEnterCdfMode(Addr pc, SeqNum seq);
     void drainCriticalFrontend();
+    /** Empty the state critical fetch hands the regular stream and
+     *  put critical fetch back on path. */
+    void resetCriticalFetch();
     void beginCdfExit();
     void finishCdfExit();
     void abortCdfMode();
@@ -270,6 +304,17 @@ class Core
     void maybeEnterRunahead(const DynInst *head);
     void runaheadStep(unsigned &budget);
     void exitRunahead();
+    /** Runahead taint through @p uop: its result is unavailable when
+     *  @p unknownResult or a source is. Returns that taint. */
+    bool propagateTaint(const isa::Uop &uop, bool unknownResult);
+
+    /**
+     * Functionally execute @p trace's whole basic block on the shared
+     * wrong-path walker into walkedBlock_. Returns false, leaving the
+     * walkable prefix there, when the block runs into invalid code or
+     * a halt.
+     */
+    bool walkBlock(const cdf::BbTrace &trace);
 
     // --- Retire-side criticality training ---
     void trainOnRetire(const DynInst *inst);
@@ -317,14 +362,18 @@ class Core
     DynInst *decInst(std::uint32_t idx);
 
     // ------------------------------------------------------------------
-    SIM_SNAPSHOT_FIELDS(128);
+    SIM_SNAPSHOT_FIELDS(124);
 
     CoreConfig config_;
     StatRegistry &stats_;
     isa::OracleStream oracle_;
-    isa::WrongPathWalker walker_;     //!< regular-mode wrong path
-    isa::WrongPathWalker cdfWalker_;  //!< CDF-mode shared wrong path
-    isa::WrongPathWalker raWalker_;   //!< PRE runahead shadow execution
+    /** Functional wrong-path execution, held by at most one user at a
+     *  time: the regular stream's wrong path outside CDF mode, the
+     *  critical stream's wrong path in it, or a runahead episode. */
+    isa::WrongPathWalker walker_;
+    /** Records of the last block walkBlock() executed: the runahead
+     *  chain's values, or a critical wrong-path block being buffered. */
+    std::vector<isa::ExecRecord> walkedBlock_;
     mem::MemHierarchy mem_;
     bp::BranchPredictor bp_;
 
@@ -383,13 +432,13 @@ class Core
     /** Squash victims, youngest first (reused across squashes). */
     std::vector<DynInst *> squashVictims_;
 
-    // --- Frontend state (regular mode) ---
+    // --- Regular fetch stream (every mode) ---
     Cycle now_ = 0;
     SeqNum fetchSeqCounter_ = 0;     //!< unique fetch ids
-    SeqNum nextFetchTs_ = 0;         //!< next oracle index to fetch
-    bool wrongPath_ = false;
-    Addr wrongPathPc_ = 0;
-    SeqNum wrongPathTs_ = 0;
+    SeqNum nextFetchTs_ = 0;         //!< next on-path oracle index
+    bool wrongPath_ = false;         //!< past a mispredicted branch
+    Addr wrongPathPc_ = 0;           //!< walker's next PC (non-CDF)
+    SeqNum wrongPathTs_ = 0;         //!< last wrong-path ts (non-CDF)
     Cycle fetchStallUntil_ = 0;
     Addr lastFetchLine_ = ~Addr{0};
     bool fetchDoneHalt_ = false;
@@ -434,11 +483,6 @@ class Core
     bool critTraceValid_ = false;
     cdf::BbTrace critTrace_;
     unsigned critTraceIdx_ = 0;
-    SeqNum critProcessedThroughTs_ = 0; //!< BBs fully handled
-
-    // Regular-stream cursor in CDF mode.
-    SeqNum regNextTs_ = 0;
-    bool regWrongPath_ = false;
 
     /** First ts NOT yet covered by a critical-fetch-processed BB. */
     SeqNum critCoveredUpTo_ = 0;
@@ -459,7 +503,8 @@ class Core
     std::deque<BbInfo> bbInfoQ_;
 
     // Wrong-path records produced by critical fetch for the regular
-    // stream to consume (both streams share one divergence).
+    // stream to consume (both streams share one divergence); strictly
+    // ts-ordered.
     struct WpRecord
     {
         isa::ExecRecord rec;
@@ -491,7 +536,6 @@ class Core
     bool raTraceValid_ = false;
     cdf::BbTrace raTrace_;
     unsigned raTraceIdx_ = 0;
-    std::vector<isa::ExecRecord> raBbRecs_;
     std::bitset<kNumArchRegs> raTaint_;
     bp::BpCheckpoint raBpCkpt_;
     std::uint64_t raChainLoads_ = 0;
@@ -525,6 +569,7 @@ class Core
     mutable AuditSampler rsAudit_{4096};
     mutable AuditSampler renameAudit_{8192};
     mutable AuditSampler retireAudit_{4096};
+    mutable AuditSampler fetchAudit_{4096};
     RunningMean mlpWhenActive_;
     RunningMean uselessMlpWhenActive_;
     RunningMean fig1CriticalFrac_;

@@ -28,9 +28,9 @@ Core::renameStage()
     SIM_AUDIT_ONLY(if (renameAudit_.due()) auditRenameMaps();)
     unsigned slots = config_.width;
     // The Issue logic prefers the critical rename stage whenever it
-    // has work (Section 3.5); total bandwidth is shared.
-    if (config_.mode == CoreMode::Cdf)
-        renameCritical(slots);
+    // has work (Section 3.5); total bandwidth is shared. Outside CDF
+    // mode critQ_ is empty and this is a no-op.
+    renameCritical(slots);
     while (slots > 0) {
         if (!renameRegularOne())
             break;
@@ -759,6 +759,18 @@ Core::squashYoungerThan(SeqNum flushTs)
 }
 
 void
+Core::redirectFetch(SeqNum ts)
+{
+    wrongPath_ = false;
+    walker_.deactivate(); // no user holds it after a flush
+    nextFetchTs_ = ts;
+    fetchAtBbStart_ = true;
+    fetchDoneHalt_ = false;
+    fetchStallUntil_ = now_ + config_.mispredictRedirect;
+    lastFetchLine_ = ~Addr{0};
+}
+
+void
 Core::recoverFromBranch(DynInst *branch)
 {
     SIM_ASSERT(branch->onPath, "recovery on a wrong-path branch");
@@ -773,50 +785,34 @@ Core::recoverFromBranch(DynInst *branch)
     bp_.recover(branchStates_.at(branch->branchState).ckpt,
                 branch->taken, branch->pc);
 
-    fetchStallUntil_ = now_ + config_.mispredictRedirect;
-    lastFetchLine_ = ~Addr{0};
-    fetchDoneHalt_ = false;
-
-    if (config_.mode == CoreMode::Cdf && cdfMode_) {
-        if (branch->cdfFetched) {
-            // CDF mode survives the mispredict (Section 3.6): fix
-            // the DBQ entry so the regular stream follows the
-            // corrected path, and restart critical fetch there.
-            for (std::size_t i = 0; i < dbq_->size(); ++i) {
-                if (dbq_->at(i).ts == branch->ts) {
-                    dbq_->at(i).taken = branch->taken;
-                    dbq_->at(i).target = branch->actualTarget;
-                }
+    SeqNum resumeTs = branch->ts + 1;
+    if (cdfMode_ && branch->cdfFetched) {
+        // CDF mode survives the mispredict (Section 3.6): fix the DBQ
+        // entry so the regular stream follows the corrected path, and
+        // restart critical fetch there.
+        for (std::size_t i = 0; i < dbq_->size(); ++i) {
+            if (dbq_->at(i).ts == branch->ts) {
+                dbq_->at(i).taken = branch->taken;
+                dbq_->at(i).target = branch->actualTarget;
             }
-            critOnPath_ = true;
-            cdfWalker_.deactivate();
-            critTraceValid_ = false;
-            critTraceIdx_ = 0;
-            critFetchPc_ = branch->actualTarget;
-            critFetchBaseTs_ = branch->ts + 1;
-            critCoveredUpTo_ = branch->ts + 1;
-            wpRecords_.clear();
-            wpConsumeIdx_ = 0;
-            regWrongPath_ = false;
-            if (regNextTs_ > branch->ts + 1)
-                regNextTs_ = branch->ts + 1;
-            cdfDraining_ = false;
-        } else {
-            // Recovery to a branch fetched before CDF mode began
-            // ends CDF mode (exit condition (c), Section 3.6).
-            abortCdfMode();
-            wrongPath_ = false;
-            walker_.deactivate();
-            nextFetchTs_ = branch->ts + 1;
-            fetchAtBbStart_ = true;
         }
-        return;
+        critOnPath_ = true;
+        critTraceValid_ = false;
+        critTraceIdx_ = 0;
+        critFetchPc_ = branch->actualTarget;
+        critFetchBaseTs_ = branch->ts + 1;
+        critCoveredUpTo_ = branch->ts + 1;
+        wpRecords_.clear();
+        wpConsumeIdx_ = 0;
+        cdfDraining_ = false;
+        // The regular stream may not have reached the branch yet.
+        resumeTs = std::min(resumeTs, nextFetchTs_);
+    } else {
+        // Recovery to a branch fetched before CDF mode began ends CDF
+        // mode (exit condition (c), Section 3.6).
+        abortCdfMode();
     }
-
-    wrongPath_ = false;
-    walker_.deactivate();
-    nextFetchTs_ = branch->ts + 1;
-    fetchAtBbStart_ = true;
+    redirectFetch(resumeTs);
 }
 
 void
@@ -828,13 +824,7 @@ Core::dependenceViolationRecovery(SeqNum violTs)
     if (squashOldestCkptValid_)
         bp_.restore(squashOldestCkpt_);
     abortCdfMode();
-    wrongPath_ = false;
-    walker_.deactivate();
-    nextFetchTs_ = violTs;
-    fetchAtBbStart_ = true;
-    fetchDoneHalt_ = false;
-    fetchStallUntil_ = now_ + config_.mispredictRedirect;
-    lastFetchLine_ = ~Addr{0};
+    redirectFetch(violTs);
 }
 
 void
@@ -849,20 +839,13 @@ Core::memoryOrderViolation(DynInst *load)
     // has not yet fetched: uops older than that exist only in the
     // critical stream and must not be refetched, while younger
     // non-critical uops may not have been fetched at all yet.
-    if (cdfMode_ && regNextTs_ < t)
-        t = std::max<SeqNum>(regNextTs_, 1);
+    if (cdfMode_ && nextFetchTs_ < t)
+        t = std::max<SeqNum>(nextFetchTs_, 1);
     squashYoungerThan(t - 1);
     if (squashOldestCkptValid_)
         bp_.restore(squashOldestCkpt_);
-    if (cdfMode_)
-        abortCdfMode();
-    wrongPath_ = false;
-    walker_.deactivate();
-    nextFetchTs_ = t;
-    fetchAtBbStart_ = true;
-    fetchDoneHalt_ = false;
-    fetchStallUntil_ = now_ + config_.mispredictRedirect;
-    lastFetchLine_ = ~Addr{0};
+    abortCdfMode();
+    redirectFetch(t);
 }
 
 // ---------------------------------------------------------------------

@@ -1,10 +1,11 @@
 /**
  * @file
- * CDF mode control and the dual fetch engines (paper Section 3.3):
- * the critical fetch logic walking Critical Uop Cache traces with
- * its own next-PC logic and branch prediction, and the regular fetch
- * stream that replays the Delayed Branch Queue so both streams
- * follow one control-flow path.
+ * CDF mode control and the critical fetch engine (paper Section
+ * 3.3): the critical fetch logic walking Critical Uop Cache traces
+ * with its own next-PC logic and branch prediction. The regular
+ * stream, which replays the Delayed Branch Queue in CDF mode so both
+ * streams follow one control-flow path, is the one regular fetch
+ * loop of core.cc.
  */
 
 #include <algorithm>
@@ -79,20 +80,13 @@ Core::maybeEnterCdfMode(Addr pc, SeqNum seq)
     cdfStartTs_ = seq;
     critRatCopied_ = false;
 
+    // The regular stream keeps its cursor (nextFetchTs_ == seq, on
+    // path); critical fetch starts at the same block.
     critFetchPc_ = pc;
     critFetchBaseTs_ = seq;
-    critOnPath_ = true;
-    critTraceValid_ = false;
     critTraceIdx_ = 0;
     critCoveredUpTo_ = seq;
-
-    regNextTs_ = seq;
-    regWrongPath_ = false;
-    critWpStuck_ = false;
-    wpRecords_.clear();
-    wpConsumeIdx_ = 0;
-    bbInfoQ_.clear();
-    clearDbqCkpts();
+    resetCriticalFetch();
     criticalByTs_.clear();
 
     applyPartitionCaps();
@@ -142,28 +136,34 @@ Core::drainCriticalFrontend()
 }
 
 void
+Core::resetCriticalFetch()
+{
+    critOnPath_ = true;
+    walker_.deactivate(); // in CDF mode only critical fetch holds it
+    critTraceValid_ = false;
+    critWpStuck_ = false;
+    wpRecords_.clear();
+    wpConsumeIdx_ = 0;
+    bbInfoQ_.clear();
+    clearDbqCkpts();
+}
+
+/**
+ * Leave CDF mode, on the graceful exit and (via abortCdfMode) on a
+ * flush. The regular stream needs no redirect: it fetches from the
+ * same cursor in every mode and, here, stands at a basic-block start,
+ * where the next CDF entry is checked.
+ */
+void
 Core::finishCdfExit()
 {
     SIM_ASSERT(cdfMode_, "finishCdfExit outside CDF mode");
     cdfMode_ = false;
     cdfDraining_ = false;
     drainCriticalFrontend();
-    critTraceValid_ = false;
-    critWpStuck_ = false;
-    cdfWalker_.deactivate();
-    critOnPath_ = true;
-
-    // Regular fetch resumes where the CDF regular stream stopped.
-    wrongPath_ = false;
-    walker_.deactivate();
-    nextFetchTs_ = regNextTs_;
-    fetchAtBbStart_ = true;
-
-    wpRecords_.clear();
-    wpConsumeIdx_ = 0;
-    bbInfoQ_.clear();
-    clearDbqCkpts();
+    resetCriticalFetch();
     rat_.clearAllPoison();
+    fetchAtBbStart_ = true;
     // Note: the CMQ may still hold entries for critical uops that
     // are fetched but not yet replayed by regular rename; rename
     // keeps draining it. The partition shrinks as the remaining
@@ -175,22 +175,11 @@ Core::abortCdfMode()
 {
     if (!cdfMode_)
         return;
-    cdfMode_ = false;
-    cdfDraining_ = false;
     cdfCooldownUntil_ = now_ + config_.cdf.reentryCooldown;
     // Keep the DBQ/CMQ contents that survived the flush: regular
     // stream copies already fetched still need their replays for
     // critical uops that made it into the backend.
-    drainCriticalFrontend();
-    critTraceValid_ = false;
-    critWpStuck_ = false;
-    cdfWalker_.deactivate();
-    critOnPath_ = true;
-    clearDbqCkpts();
-    wpRecords_.clear();
-    wpConsumeIdx_ = 0;
-    bbInfoQ_.clear();
-    rat_.clearAllPoison();
+    finishCdfExit();
     releasePartitionCaps();
 }
 
@@ -201,13 +190,9 @@ Core::abortCdfMode()
 void
 Core::fetchCriticalCdf(unsigned &budget)
 {
-    if (critWpStuck_)
-        return; // idle until the pending mispredict recovery redirects
-
-    while (budget > 0) {
-        if (critQ_.full() || dbq_->full())
-            return;
-
+    // A stuck wrong path idles until the pending mispredict recovery
+    // redirects; every other reason to stop also returns at once.
+    while (budget > 0 && !criticalFetchIdle()) {
         // Acquire (and copy) the trace for the block at the cursor.
         if (!critTraceValid_) {
             const cdf::BbTrace *t =
@@ -225,32 +210,14 @@ Core::fetchCriticalCdf(unsigned &budget)
                 // Wrong path: functionally walk the whole block now
                 // so the regular stream has records to consume.
                 // Commit records only if the whole block is walkable.
-                std::vector<WpRecord> walked;
-                walked.reserve(critTrace_.blockLength);
-                bool ok = true;
-                for (unsigned off = 0; off < critTrace_.blockLength;
-                     ++off) {
-                    const Addr pc = critTrace_.startPc + off;
-                    if (!oracle_.program().validPc(pc) ||
-                        oracle_.program().at(pc).isHalt()) {
-                        ok = false;
-                        break;
-                    }
-                    WpRecord w;
-                    w.rec = cdfWalker_.execute(pc);
-                    w.ts = critWpNextTs_ + off;
-                    w.critical = false;
-                    walked.push_back(w);
-                }
-                if (!ok) {
+                if (!walkBlock(critTrace_)) {
                     critTraceValid_ = false;
                     critWpStuck_ = true;
                     return;
                 }
-                critWpNextTs_ += critTrace_.blockLength;
                 critWpBbBase_ = wpRecords_.size();
-                for (auto &w : walked)
-                    wpRecords_.push_back(std::move(w));
+                for (const isa::ExecRecord &rec : walkedBlock_)
+                    wpRecords_.push_back({rec, critWpNextTs_++, false});
                 for (const auto &tu : critTrace_.uops) {
                     wpRecords_[critWpBbBase_ + tu.offsetInBlock]
                         .critical = true;
@@ -383,7 +350,7 @@ Core::fetchCriticalCdf(unsigned &budget)
             critCoveredUpTo_ = critFetchBaseTs_ + len;
             if (misp) {
                 critOnPath_ = false;
-                cdfWalker_.restart(oracle_.frontierRegs());
+                walker_.restart(oracle_.frontierRegs());
                 critWpNextTs_ = branchTs + 1;
             } else {
                 critFetchBaseTs_ += len;
@@ -403,130 +370,6 @@ Core::fetchCriticalCdf(unsigned &budget)
             // Target resolves a stage later: charge a bubble.
             budget = 0;
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Regular fetch stream in CDF mode
-// ---------------------------------------------------------------------
-
-void
-Core::fetchRegularCdf(unsigned &budget)
-{
-    while (budget > 0) {
-        if (frontQ_.full())
-            return;
-
-        // Graceful exit: the regular stream caught up with the
-        // critical fetch and no delayed branches remain.
-        if (cdfDraining_ && !regWrongPath_ &&
-            regNextTs_ >= critCoveredUpTo_ &&
-            wpConsumeIdx_ >= wpRecords_.size()) {
-            finishCdfExit();
-            return;
-        }
-
-        isa::ExecRecord rec;
-        SeqNum ts;
-        bool onPath;
-        bool critFlag = false;
-
-        if (!regWrongPath_) {
-            if (regNextTs_ >= critCoveredUpTo_)
-                return; // the critical fetch leads; wait
-            rec = oracle_.at(regNextTs_);
-            ts = regNextTs_;
-            onPath = true;
-
-            // Criticality bits from the BB info queue.
-            while (!bbInfoQ_.empty()) {
-                const BbInfo &bi = bbInfoQ_.front();
-                if (ts >= bi.baseTs + bi.critBits.size()) {
-                    bbInfoQ_.pop_front();
-                    continue;
-                }
-                if (ts >= bi.baseTs)
-                    critFlag = bi.critBits[ts - bi.baseTs];
-                break;
-            }
-        } else {
-            if (wpConsumeIdx_ >= wpRecords_.size())
-                return; // wait for the critical fetch's walker
-            const WpRecord &w = wpRecords_[wpConsumeIdx_];
-            rec = w.rec;
-            ts = w.ts;
-            critFlag = w.critical;
-            onPath = false;
-        }
-
-        // Branches need their DBQ entry; without it the stream
-        // cannot know which way to go yet.
-        cdf::DbqEntry dbqEntry{};
-        if (rec.uop.isBranch()) {
-            if (dbq_->empty())
-                return;
-            SIM_ASSERT(dbq_->front().ts == ts,
-                       "DBQ head out of sync: ", dbq_->front().ts,
-                       " vs ", ts);
-            dbqEntry = dbq_->front();
-        }
-
-        if (!icacheGate(rec.pc, budget))
-            return;
-
-        DynInst *inst = makeInst(rec, ts, onPath);
-        inst->cdfFetched = true;
-        inst->critical = critFlag;
-
-        if (rec.uop.isBranch()) {
-            dbq_->pop();
-            inst->predTaken = dbqEntry.taken;
-            inst->predTarget = dbqEntry.target;
-
-            if (!critFlag) {
-                // Non-critical branch: it executes in the backend
-                // via the regular stream and takes over the branch
-                // state checkpointed at critical-fetch prediction
-                // time. Entries are ts-ordered, so the match is
-                // usually the oldest.
-                auto it = std::find_if(
-                    dbqCkpts_.begin(), dbqCkpts_.end(),
-                    [&](const DbqCheckpoint &c) { return c.ts == ts; });
-                if (it != dbqCkpts_.end()) {
-                    inst->branchState = it->state;
-                    inst->btbMissBubble = it->btbMiss;
-                    dbqCkpts_.erase(it);
-                }
-                ++statBranches_;
-            }
-
-            if (onPath) {
-                const bool wrong =
-                    dbqEntry.taken != rec.taken ||
-                    (dbqEntry.taken && dbqEntry.target != rec.nextPc);
-                inst->mispredicted = !critFlag && wrong;
-                if (critFlag) {
-                    // The critical copy owns the mispredict flag.
-                    inst->mispredicted = false;
-                }
-                regNextTs_ = ts + 1;
-                if (wrong)
-                    regWrongPath_ = true;
-            }
-        } else {
-            if (onPath) {
-                regNextTs_ = ts + 1;
-                if (rec.uop.isHalt())
-                    fetchDoneHalt_ = true;
-            }
-        }
-        if (!onPath)
-            ++wpConsumeIdx_;
-
-        frontQ_.push(inst);
-        --budget;
-        if (rec.uop.isHalt() && onPath)
-            return;
     }
 }
 

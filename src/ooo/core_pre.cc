@@ -77,7 +77,7 @@ Core::maybeEnterRunahead(const DynInst *head)
     raTraceIdx_ = 0;
     raEpisodeLoads_ = 0;
     raBpCkpt_ = bp_.checkpoint();
-    raWalker_.restart(oracle_.frontierRegs());
+    walker_.restart(oracle_.frontierRegs());
 
     // Runahead only has the values that are actually available in
     // the physical registers: any architectural register whose
@@ -95,18 +95,10 @@ Core::maybeEnterRunahead(const DynInst *head)
         const DynInst &inst = inflightPool_.at(i);
         if (!inst.onPath || !inst.uop.writesReg())
             continue;
-        bool tainted = false;
-        if (inst.state != InstState::Completed) {
-            if (inst.uop.src1 != kInvalidReg &&
-                raTaint_[inst.uop.src1])
-                tainted = true;
-            if (inst.uop.src2 != kInvalidReg &&
-                raTaint_[inst.uop.src2])
-                tainted = true;
-            if (inst.isLoad())
-                tainted = true;
-        }
-        raTaint_[inst.uop.dst] = tainted;
+        if (inst.state == InstState::Completed)
+            raTaint_[inst.uop.dst] = false;
+        else
+            propagateTaint(inst.uop, inst.isLoad());
     }
 
     // The frontend usually stops mid-block; walk forward through the
@@ -120,15 +112,8 @@ Core::maybeEnterRunahead(const DynInst *head)
             oracle_.program().at(pc).isHalt()) {
             break;
         }
-        const isa::Uop &uop = oracle_.program().at(pc);
-        isa::ExecRecord rec = raWalker_.execute(pc);
-        bool tainted = false;
-        if (uop.src1 != kInvalidReg && raTaint_[uop.src1])
-            tainted = true;
-        if (uop.src2 != kInvalidReg && raTaint_[uop.src2])
-            tainted = true;
-        if (uop.writesReg())
-            raTaint_[uop.dst] = tainted;
+        const isa::ExecRecord rec = walker_.execute(pc);
+        propagateTaint(rec.uop, false);
         pc = rec.nextPc;
     }
     raPc_ = pc;
@@ -139,10 +124,22 @@ Core::exitRunahead()
 {
     raActive_ = false;
     raTraceValid_ = false;
-    raWalker_.deactivate();
+    walker_.deactivate();
     // Branch predictions made while fetching chains are speculative
     // only; restore the checkpoint taken at entry.
     bp_.restore(raBpCkpt_);
+}
+
+bool
+Core::propagateTaint(const isa::Uop &uop, bool unknownResult)
+{
+    const bool tainted =
+        unknownResult ||
+        (uop.src1 != kInvalidReg && raTaint_[uop.src1]) ||
+        (uop.src2 != kInvalidReg && raTaint_[uop.src2]);
+    if (uop.writesReg())
+        raTaint_[uop.dst] = tainted;
+    return tainted;
 }
 
 void
@@ -175,41 +172,28 @@ Core::runaheadStep(unsigned &budget)
             raTraceValid_ = true;
             raTraceIdx_ = 0;
 
-            // Shadow-execute the whole block, propagating taint.
-            raBbRecs_.clear();
-            raBbRecs_.reserve(raTrace_.blockLength);
-            for (unsigned off = 0; off < raTrace_.blockLength;
-                 ++off) {
-                const Addr pc = raTrace_.startPc + off;
-                if (!oracle_.program().validPc(pc) ||
-                    oracle_.program().at(pc).isHalt()) {
-                    raTraceValid_ = false;
-                    return; // unwalkable: runahead idles
-                }
-                const isa::Uop &uop = oracle_.program().at(pc);
-                isa::ExecRecord rec = raWalker_.execute(pc);
-                bool tainted = false;
-                if (uop.src1 != kInvalidReg && raTaint_[uop.src1])
-                    tainted = true;
-                if (uop.src2 != kInvalidReg && raTaint_[uop.src2])
-                    tainted = true;
-                if (uop.writesReg())
-                    raTaint_[uop.dst] = tainted;
+            // Shadow-execute the whole block, propagating taint
+            // through the prefix it could walk.
+            const bool walked = walkBlock(raTrace_);
+            for (isa::ExecRecord &rec : walkedBlock_) {
                 // A load whose address chain involves an
                 // unavailable register computes with stale values:
                 // usually the PREVIOUS committed address of the same
                 // static load (harmless re-reference), sometimes an
                 // arbitrary wrong line (the extra memory traffic the
                 // paper attributes to runahead).
-                if (tainted && uop.isLoad()) {
-                    const Addr *last = lastRetiredLoadAddr_.find(pc);
+                if (propagateTaint(rec.uop, false) && rec.uop.isLoad()) {
+                    const Addr *last = lastRetiredLoadAddr_.find(rec.pc);
                     if (last && (raChainLoads_ & 3) != 0) {
                         rec.memAddr = *last;
                     } else {
-                        rec.memAddr = garbageAddr(pc, raChainLoads_);
+                        rec.memAddr = garbageAddr(rec.pc, raChainLoads_);
                     }
                 }
-                raBbRecs_.push_back(rec);
+            }
+            if (!walked) {
+                raTraceValid_ = false;
+                return; // unwalkable: runahead idles
             }
         }
 
@@ -217,7 +201,7 @@ Core::runaheadStep(unsigned &budget)
         while (raTraceIdx_ < raTrace_.uops.size() && budget > 0) {
             const cdf::TraceUop &tu = raTrace_.uops[raTraceIdx_];
             const isa::ExecRecord &rec =
-                raBbRecs_[tu.offsetInBlock];
+                walkedBlock_[tu.offsetInBlock];
             if (rec.uop.isLoad()) {
                 if (loadBudget == 0)
                     return; // load ports exhausted this cycle

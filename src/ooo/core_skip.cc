@@ -94,8 +94,7 @@ Core::classifyRenameStall(Cycle &bound) const
  * Classify what renameCritical() would do this cycle without doing
  * it, replicating its check order exactly (the while loop pops at
  * most zero entries when blocked, and charges at most one noteStall
- * per cycle). Only meaningful when config_.mode == Cdf — the only
- * mode whose renameStage calls renameCritical().
+ * per cycle). Outside CDF mode critQ_ is empty, so this is Quiet.
  */
 Core::CritRenameStallKind
 Core::classifyCritRenameStall(Cycle &bound) const
@@ -184,64 +183,28 @@ Core::nextEventCycle()
     const RenameStallKind regKind = classifyRenameStall(bound);
     if (regKind == RenameStallKind::Progress)
         return tickNext;
-    CritRenameStallKind critKind = CritRenameStallKind::Quiet;
-    if (config_.mode == CoreMode::Cdf) {
-        critKind = classifyCritRenameStall(bound);
-        if (critKind == CritRenameStallKind::Progress)
-            return tickNext;
-    }
+    const CritRenameStallKind critKind = classifyCritRenameStall(bound);
+    if (critKind == CritRenameStallKind::Progress)
+        return tickNext;
 
-    // Fetch: stalled, permanently halted, or provably stuck. An
-    // oracle-dry frontend re-latches fetchDoneHalt_ at the next
-    // fetched tick, which is idempotent and reordering-safe (the
-    // latch is not a stat and fetch stays blocked either way).
-    // Checked before the O(entries) scans below: an active frontend
-    // is the common reason a retire-free cycle is not quiescent, and
-    // this detects it in O(1).
-    if (!fetchDoneHalt_) {
-        if (fetchStallUntil_ > now_) {
-            bound = std::min(bound, fetchStallUntil_);
-        } else if (cdfMode_) {
-            // Critical engine: a no-op only when structurally blocked
-            // — its output queues full or the wrong-path walker stuck
-            // — or stopped entirely by drain mode. The queues drain
-            // through renameCritical / the regular engine, both shown
-            // blocked here.
-            if (!cdfDraining_ && !critWpStuck_ && !critQ_.full() &&
-                !dbq_->full())
-                return tickNext;
-            // Regular engine.
-            if (!frontQ_.full()) {
-                if (cdfDraining_ && !regWrongPath_ &&
-                    regNextTs_ >= critCoveredUpTo_ &&
-                    wpConsumeIdx_ >= wpRecords_.size())
-                    return tickNext; // graceful exit would fire
-                if (!regWrongPath_) {
-                    // Blocked only while waiting on the critical
-                    // fetch's lead or on a DBQ entry for a branch.
-                    if (regNextTs_ < critCoveredUpTo_ &&
-                        !(oracle_.hasRecord(regNextTs_) &&
-                          oracle_.at(regNextTs_).uop.isBranch() &&
-                          dbq_->empty()))
-                        return tickNext; // would fetch
-                } else {
-                    if (wpConsumeIdx_ < wpRecords_.size() &&
-                        !(wpRecords_[wpConsumeIdx_]
-                              .rec.uop.isBranch() &&
-                          dbq_->empty()))
-                        return tickNext; // would consume wp records
-                }
-            }
-        } else if (frontQ_.full()) {
-            // Backpressured; rename (bounded above) must free a slot.
-        } else if (wrongPath_) {
-            if (oracle_.program().validPc(wrongPathPc_) &&
-                !oracle_.program().at(wrongPathPc_).isHalt())
-                return tickNext; // would fetch wrong-path uops
-        } else {
-            if (oracle_.hasRecord(nextFetchTs_))
-                return tickNext; // would fetch real uops
-        }
+    // Fetch: stalled, permanently halted, or provably stuck, as the
+    // fetch stage's own readiness tests say. A critical engine
+    // blocked on full queues stays blocked: they drain only through
+    // renameCritical and the regular engine, both shown blocked
+    // here. An oracle-dry frontend
+    // re-latches fetchDoneHalt_ at the next fetched tick, which is
+    // idempotent and reordering-safe (the latch is not a stat and
+    // fetch stays blocked either way). Checked before the O(entries)
+    // scans below: an active frontend is the common reason a
+    // retire-free cycle is not quiescent, and this detects it in O(1).
+    if (!fetchDoneHalt_ && fetchStallUntil_ > now_) {
+        bound = std::min(bound, fetchStallUntil_);
+    } else if (!frontStopped()) {
+        if (!criticalFetchIdle())
+            return tickNext;
+        const RegularFetch next = regularFetchReady();
+        if (next == RegularFetch::Record || next == RegularFetch::CdfExit)
+            return tickNext;
     }
 
     // Execute: no resident RS entry may be (re)examined before the
@@ -387,13 +350,11 @@ Core::bulkAccountSkippedCycles(std::uint64_t n)
     const RenameStallKind regKind = classifyRenameStall(unusedBound);
     if (regKind == RenameStallKind::Progress)
         panic("bulk-accounting cycles while rename can progress");
-    CritRenameStallKind critKind = CritRenameStallKind::Quiet;
-    if (config_.mode == CoreMode::Cdf) {
-        critKind = classifyCritRenameStall(unusedBound);
-        if (critKind == CritRenameStallKind::Progress)
-            panic("bulk-accounting cycles while critical rename can "
-                  "progress");
-    }
+    const CritRenameStallKind critKind =
+        classifyCritRenameStall(unusedBound);
+    if (critKind == CritRenameStallKind::Progress)
+        panic("bulk-accounting cycles while critical rename can "
+              "progress");
 
     if (cdfMode_ && robPart_) {
         robPart_->advanceCounters(

@@ -71,11 +71,12 @@ Core::saveState(SnapWriter &w) const
         sw.u32(encInst(inst));
     };
 
-    // Functional front: oracle, wrong-path walkers.
+    // Functional front: oracle, wrong-path walker, its last block.
     oracle_.save(w);
     walker_.save(w);
-    cdfWalker_.save(w);
-    raWalker_.save(w);
+    w.u32(static_cast<std::uint32_t>(walkedBlock_.size()));
+    for (const isa::ExecRecord &rec : walkedBlock_)
+        isa::save(w, rec);
 
     // Memory system and predictors.
     mem_.save(w);
@@ -194,9 +195,6 @@ Core::saveState(SnapWriter &w) const
     w.b(critTraceValid_);
     cdf::save(w, critTrace_);
     w.u32(critTraceIdx_);
-    w.u64(critProcessedThroughTs_);
-    w.u64(regNextTs_);
-    w.b(regWrongPath_);
     w.u64(critCoveredUpTo_);
     w.u64(critWpNextTs_);
     w.u64(critWpBbBase_);
@@ -239,9 +237,6 @@ Core::saveState(SnapWriter &w) const
     w.b(raTraceValid_);
     cdf::save(w, raTrace_);
     w.u32(raTraceIdx_);
-    w.u32(static_cast<std::uint32_t>(raBbRecs_.size()));
-    for (const isa::ExecRecord &rec : raBbRecs_)
-        isa::save(w, rec);
     static_assert(kNumArchRegs <= 64, "taint snapshot width");
     w.u64(raTaint_.to_ullong());
     bp::save(w, raBpCkpt_);
@@ -275,8 +270,9 @@ Core::restoreState(SnapReader &r)
 {
     oracle_.restore(r);
     walker_.restore(r);
-    cdfWalker_.restore(r);
-    raWalker_.restore(r);
+    walkedBlock_.resize(r.u32());
+    for (isa::ExecRecord &rec : walkedBlock_)
+        isa::restore(r, rec);
 
     mem_.restore(r);
     bp_.restore(r);
@@ -393,9 +389,6 @@ Core::restoreState(SnapReader &r)
     critTraceValid_ = r.b();
     cdf::restore(r, critTrace_);
     critTraceIdx_ = r.u32();
-    critProcessedThroughTs_ = r.u64();
-    regNextTs_ = r.u64();
-    regWrongPath_ = r.b();
     critCoveredUpTo_ = r.u64();
     critWpNextTs_ = r.u64();
     critWpBbBase_ = r.u64();
@@ -436,9 +429,6 @@ Core::restoreState(SnapReader &r)
     raTraceValid_ = r.b();
     cdf::restore(r, raTrace_);
     raTraceIdx_ = r.u32();
-    raBbRecs_.resize(r.u32());
-    for (isa::ExecRecord &rec : raBbRecs_)
-        isa::restore(r, rec);
     raTaint_ = std::bitset<kNumArchRegs>(r.u64());
     bp::restore(r, raBpCkpt_);
     raChainLoads_ = r.u64();
@@ -473,6 +463,7 @@ Core::restoreState(SnapReader &r)
     SIM_AUDIT_ONLY({
         auditRenameMaps();
         auditBranchStates();
+        auditFrontend();
     })
 }
 

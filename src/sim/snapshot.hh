@@ -34,8 +34,10 @@ namespace cdfsim::sim
 /** Bumped whenever any save()/restore() layout changes. Stale
  *  on-disk checkpoints are rejected, never migrated.
  *  2: branch checkpoints moved from DynInst into the core's
- *  branch-state pool; DBQ checkpoints hold pool handles. */
-inline constexpr std::uint32_t kCheckpointSchemaVersion = 2;
+ *  branch-state pool; DBQ checkpoints hold pool handles.
+ *  3: one wrong-path walker and one regular-fetch cursor in the
+ *  core (the CDF-only cursor and walkers went). */
+inline constexpr std::uint32_t kCheckpointSchemaVersion = 3;
 
 /** A complete post-warmup simulator state. */
 struct Checkpoint

@@ -9,8 +9,8 @@
  * overrides, expanded into the exact SweepCell list SweepRunner
  * consumes. The checked-in figure grids are schema-versioned JSON
  * files under `bench/specs/`, run by the `bench_sweep_spec` driver;
- * the C++ builder form expands identically and serves tests and
- * embedders.
+ * the C++ form (SweepSpec::group() filled with the plain structs
+ * below) expands identically and serves tests and embedders.
  *
  * Expansion order is deterministic and part of the contract: for
  * each group in declaration order, for each axis-value combination
@@ -75,14 +75,6 @@ struct SpecAxisValue
     std::string tag;
     std::vector<SpecOverride> config;
     SpecWindow window;
-
-    /** Builder sugar: append one config override. */
-    SpecAxisValue &
-    set(std::string key, Json value)
-    {
-        config.push_back({std::move(key), std::move(value)});
-        return *this;
-    }
 };
 
 /** One config-override axis (e.g. the Fig. 17 window scale). */
@@ -90,14 +82,6 @@ struct SpecAxis
 {
     std::string name;
     std::vector<SpecAxisValue> values;
-
-    /** Builder sugar: append a value and return it for .set(). */
-    SpecAxisValue &
-    value(std::string tag)
-    {
-        values.push_back({std::move(tag), {}, {}});
-        return values.back();
-    }
 };
 
 /** One run variant within a group (e.g. "cdf_nobr"). */
@@ -107,14 +91,6 @@ struct SpecVariant
     ooo::CoreMode mode = ooo::CoreMode::Baseline;
     std::vector<SpecOverride> config;
     SpecWindow window;
-
-    /** Builder sugar: append one config override. */
-    SpecVariant &
-    set(std::string key, Json value)
-    {
-        config.push_back({std::move(key), std::move(value)});
-        return *this;
-    }
 };
 
 /** A (workloads x axes x variants) block of the matrix. */
@@ -127,22 +103,6 @@ struct SpecGroup
     bool zip = false;
     SpecWindow window;
     std::vector<SpecVariant> variants;
-
-    /** Builder sugar: append a variant and return it for .set(). */
-    SpecVariant &
-    variant(std::string name, ooo::CoreMode mode)
-    {
-        variants.push_back({std::move(name), mode, {}, {}});
-        return variants.back();
-    }
-
-    /** Builder sugar: append an axis and return it. */
-    SpecAxis &
-    axis(std::string name)
-    {
-        axes.push_back({std::move(name), {}});
-        return axes.back();
-    }
 };
 
 /**

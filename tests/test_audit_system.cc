@@ -4,7 +4,8 @@
  * wakeup cache (Core::auditRsWakeupCache), its rename maps
  * (Core::auditRenameMaps), its LSQ/ROB age ordering
  * (Core::auditLsqRobAge), its branch-state pool ownership
- * (Core::auditBranchStates), the memory hierarchy's LLC probe memo
+ * (Core::auditBranchStates), its fetch frontend
+ * (Core::auditFrontend), the memory hierarchy's LLC probe memo
  * (MemHierarchy::auditProbeCache), and the CDF side tables
  * (CriticalCountTable::auditInvariants, MaskCache::auditInvariants).
  *
@@ -29,6 +30,7 @@
 #include "cdf/critical_table.hh"
 #include "cdf/mask_cache.hh"
 #include "common/audit.hh"
+#include "common/circular_queue.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "mem/hierarchy.hh"
@@ -458,6 +460,70 @@ struct AuditPeer
         thief->branchState = c.dbqCkpts_.front().state;
         return true;
     }
+
+    // --- Core: fetch frontend ---------------------------------------
+
+    static bool
+    walkerActive(const ooo::Core &c)
+    {
+        return c.walker_.active();
+    }
+
+    /** Activate the shared wrong-path walker when no user holds it,
+     *  or drop it from under the user that does. */
+    static void
+    toggleWalker(ooo::Core &c)
+    {
+        if (c.walker_.active())
+            c.walker_.deactivate();
+        else
+            c.walker_.restart(c.oracle_.frontierRegs());
+    }
+
+    /** Break a fetch queue's ts order: swap its two oldest entries,
+     *  or queue its only entry twice. False while it is empty. */
+    static bool
+    reorderQueue(CircularQueue<ooo::DynInst *> &q)
+    {
+        if (q.size() >= 2) {
+            std::swap(q.at(0), q.at(1));
+            return true;
+        }
+        if (q.size() == 1 && !q.full()) {
+            q.push(q.front());
+            return true;
+        }
+        return false;
+    }
+
+    static bool
+    reorderFrontQ(ooo::Core &c)
+    {
+        return reorderQueue(c.frontQ_);
+    }
+
+    static bool
+    reorderCritQ(ooo::Core &c)
+    {
+        return reorderQueue(c.critQ_);
+    }
+
+    /** Buffer a wrong-path record no younger than the newest one. */
+    static void
+    repeatWpRecord(ooo::Core &c)
+    {
+        if (c.wpRecords_.empty())
+            c.wpRecords_.push_back({});
+        const auto last = c.wpRecords_.back();
+        c.wpRecords_.push_back(last);
+    }
+
+    /** Point the regular stream past the buffered wrong path. */
+    static void
+    overrunWpConsumeIdx(ooo::Core &c)
+    {
+        c.wpConsumeIdx_ = c.wpRecords_.size() + 1;
+    }
 };
 
 } // namespace cdfsim
@@ -468,6 +534,28 @@ namespace
 using cdfsim::Addr;
 using cdfsim::AuditPeer;
 using cdfsim::PanicError;
+
+/**
+ * Tick @p c one cycle at a time for up to @p cycles, running the
+ * frontend walk after each: its walker invariant breaks transiently
+ * (a walker left active is held again by the next misprediction),
+ * so sparse stops can miss it. Returns how many of those cycles
+ * ended with @p inState true.
+ */
+template <typename State>
+int
+auditFrontendEachCycle(cdfsim::ooo::Core &c, cdfsim::Cycle cycles,
+                       State &&inState)
+{
+    int hits = 0;
+    const cdfsim::Cycle end = c.cycle() + cycles;
+    while (c.cycle() < end && !c.halted()) {
+        c.run(~std::uint64_t{0}, c.cycle() + 1);
+        c.auditFrontend();
+        hits += inState(c);
+    }
+    return hits;
+}
 
 /**
  * A core paused mid-flight on a memory-bound workload: run() stops
@@ -698,6 +786,47 @@ TEST_F(AuditSystem, BranchStatesFireOnFreedOwnedSlot)
     EXPECT_THROW(c.auditBranchStates(), PanicError);
 }
 
+// ------------------------------------------------- fetch frontend
+
+TEST_F(AuditSystem, FrontendSilentOnDrivenCore)
+{
+    int walking = 0;
+    ASSERT_NO_THROW(walking = auditFrontendEachCycle(
+                        core(), 30'000, AuditPeer::walkerActive));
+    EXPECT_GT(walking, 0) << "never fetched down a wrong path";
+}
+
+TEST_F(AuditSystem, FrontendFiresOnUnheldWalker)
+{
+    AuditPeer::toggleWalker(core());
+    EXPECT_THROW(core().auditFrontend(), PanicError);
+}
+
+TEST_F(AuditSystem, FrontendFiresOnFrontQueueOrder)
+{
+    auto &c = core();
+    bool corrupted = AuditPeer::reorderFrontQ(c);
+    for (int i = 0; i < 64 && !corrupted && !c.halted(); ++i) {
+        c.run(c.retired() + 2'000);
+        corrupted = AuditPeer::reorderFrontQ(c);
+    }
+    if (!corrupted)
+        GTEST_SKIP() << "never saw a queued fetch";
+    EXPECT_THROW(c.auditFrontend(), PanicError);
+}
+
+TEST_F(AuditSystem, FrontendFiresOnWpRecordOrder)
+{
+    AuditPeer::repeatWpRecord(core());
+    EXPECT_THROW(core().auditFrontend(), PanicError);
+}
+
+TEST_F(AuditSystem, FrontendFiresOnWpConsumeOverrun)
+{
+    AuditPeer::overrunWpConsumeIdx(core());
+    EXPECT_THROW(core().auditFrontend(), PanicError);
+}
+
 // ------------------------------------------------- CDF side tables
 
 /**
@@ -814,6 +943,39 @@ TEST_F(AuditSystemCdf, BranchStatesFireOnDbqSlotAlsoOwnedByInst)
     expectFires(
         [](auto &c) { return AuditPeer::doublyOwnDbqBranchState(c); },
         [](auto &c) { c.auditBranchStates(); });
+}
+
+TEST_F(AuditSystemCdf, FrontendSilentOnDrivenCore)
+{
+    // 30k cycles stay short of where an Audit build's sampled rename
+    // walk trips the known critical-RAT aliasing (ROADMAP item 1),
+    // about 47k cycles into mcf.
+    int inCdf = 0;
+    ASSERT_NO_THROW(inCdf = auditFrontendEachCycle(
+                        core(), 30'000,
+                        [](const auto &c) { return c.inCdfMode(); }));
+    EXPECT_GT(inCdf, 0) << "never entered CDF mode";
+}
+
+TEST_F(AuditSystemCdf, FrontendFiresOnCritQueueOrder)
+{
+    expectFires([](auto &c) { return AuditPeer::reorderCritQ(c); },
+                [](auto &c) { c.auditFrontend(); });
+}
+
+/** The frontend walk on a Precise Runahead core, where episodes
+ *  hand the shared walker to runahead. */
+TEST(AuditSystemPre, FrontendSilentOnDrivenCore)
+{
+    cdfsim::ooo::CoreConfig cfg;
+    cfg.mode = cdfsim::ooo::CoreMode::Pre;
+    cdfsim::sim::Simulator sim(cfg,
+                               cdfsim::workloads::makeWorkload("mcf"));
+    int inRunahead = 0;
+    ASSERT_NO_THROW(inRunahead = auditFrontendEachCycle(
+                        sim.core(), 30'000,
+                        [](const auto &c) { return c.inRunahead(); }));
+    EXPECT_GT(inRunahead, 0) << "never ran ahead";
 }
 
 } // namespace

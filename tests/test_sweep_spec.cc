@@ -2,8 +2,8 @@
  * @file
  * Unit tests for sim::SweepSpec: deterministic expansion order
  * (groups -> axis combinations -> workloads -> variants), product vs
- * zipped axes, --workloads filter semantics, builder/JSON
- * equivalence, the config-override registry, the validation errors
+ * zipped axes, --workloads filter semantics, C++/JSON equivalence,
+ * the config-override registry, the validation errors
  * that must name the offending spec path, and the checked-in specs'
  * literals that copy CoreConfig defaults.
  */
@@ -47,6 +47,13 @@ parseOrDie(const std::string &text)
     return doc;
 }
 
+/** The spec of a JSON document; its error paths start at "spec". */
+SweepSpec
+specFrom(const std::string &text)
+{
+    return SweepSpec::fromJson(parseOrDie(text), "spec");
+}
+
 /** EXPECT that @p fn throws std::runtime_error whose message
  *  contains @p needle (the spec path naming the offense). */
 template <typename Fn>
@@ -67,10 +74,11 @@ expectSpecError(Fn &&fn, const std::string &needle)
 
 TEST(SweepSpec, ExpansionOrderIsWorkloadOuterVariantInner)
 {
-    SweepSpec spec("t");
-    auto &g = spec.group({"astar", "mcf"});
-    g.variant("base", CoreMode::Baseline);
-    g.variant("cdf", CoreMode::Cdf);
+    const SweepSpec spec = specFrom(R"({
+        "sweep": "t", "schema_version": 1,
+        "groups": [{"workloads": ["astar", "mcf"], "variants": [
+            {"name": "base", "mode": "baseline"},
+            {"name": "cdf", "mode": "cdf"}]}]})");
 
     const auto cells = spec.expand(CoreConfig{});
     EXPECT_EQ(cellIds(cells),
@@ -82,9 +90,13 @@ TEST(SweepSpec, ExpansionOrderIsWorkloadOuterVariantInner)
 
 TEST(SweepSpec, GroupsExpandInDeclarationOrder)
 {
-    SweepSpec spec("t");
-    spec.group({"mcf"}).variant("cdf", CoreMode::Cdf);
-    spec.group({"astar"}).variant("base", CoreMode::Baseline);
+    const SweepSpec spec = specFrom(R"({
+        "sweep": "t", "schema_version": 1,
+        "groups": [
+            {"workloads": ["mcf"],
+             "variants": [{"name": "cdf", "mode": "cdf"}]},
+            {"workloads": ["astar"],
+             "variants": [{"name": "base", "mode": "baseline"}]}]})");
 
     EXPECT_EQ(cellIds(spec.expand(CoreConfig{})),
               (std::vector<std::string>{"mcf/cdf", "astar/base"}));
@@ -92,15 +104,15 @@ TEST(SweepSpec, GroupsExpandInDeclarationOrder)
 
 TEST(SweepSpec, ProductAxesFirstAxisOutermost)
 {
-    SweepSpec spec("t");
-    auto &g = spec.group({"astar"});
-    auto &outer = g.axis("outer");
-    outer.value("o1");
-    outer.value("o2");
-    auto &inner = g.axis("inner");
-    inner.value("i1");
-    inner.value("i2");
-    g.variant("v", CoreMode::Baseline);
+    const SweepSpec spec = specFrom(R"({
+        "sweep": "t", "schema_version": 1,
+        "groups": [{"workloads": ["astar"],
+            "axes": [
+                {"name": "outer", "values": [{"tag": "o1"},
+                                             {"tag": "o2"}]},
+                {"name": "inner", "values": [{"tag": "i1"},
+                                             {"tag": "i2"}]}],
+            "variants": [{"name": "v", "mode": "baseline"}]}]})");
 
     EXPECT_EQ(cellIds(spec.expand(CoreConfig{})),
               (std::vector<std::string>{
@@ -110,16 +122,13 @@ TEST(SweepSpec, ProductAxesFirstAxisOutermost)
 
 TEST(SweepSpec, ZippedAxesAdvanceInLockstep)
 {
-    SweepSpec spec("t");
-    auto &g = spec.group({"astar"});
-    g.zip = true;
-    auto &a = g.axis("a");
-    a.value("a1");
-    a.value("a2");
-    auto &b = g.axis("b");
-    b.value("b1");
-    b.value("b2");
-    g.variant("v", CoreMode::Baseline);
+    const SweepSpec spec = specFrom(R"({
+        "sweep": "t", "schema_version": 1,
+        "groups": [{"workloads": ["astar"], "zip": true,
+            "axes": [
+                {"name": "a", "values": [{"tag": "a1"}, {"tag": "a2"}]},
+                {"name": "b", "values": [{"tag": "b1"}, {"tag": "b2"}]}],
+            "variants": [{"name": "v", "mode": "baseline"}]}]})");
 
     EXPECT_EQ(cellIds(spec.expand(CoreConfig{})),
               (std::vector<std::string>{"astar/v@a1@b1",
@@ -128,10 +137,11 @@ TEST(SweepSpec, ZippedAxesAdvanceInLockstep)
 
 TEST(SweepSpec, EmptyAxisTagAddsNoSuffix)
 {
-    SweepSpec spec("t");
-    auto &g = spec.group({"astar"});
-    g.axis("a").value("");
-    g.variant("v", CoreMode::Baseline);
+    const SweepSpec spec = specFrom(R"({
+        "sweep": "t", "schema_version": 1,
+        "groups": [{"workloads": ["astar"],
+            "axes": [{"name": "a", "values": [{"tag": ""}]}],
+            "variants": [{"name": "v", "mode": "baseline"}]}]})");
 
     EXPECT_EQ(cellIds(spec.expand(CoreConfig{})),
               (std::vector<std::string>{"astar/v"}));
@@ -139,9 +149,10 @@ TEST(SweepSpec, EmptyAxisTagAddsNoSuffix)
 
 TEST(SweepSpec, FilterRestrictsToFilterOrder)
 {
-    SweepSpec spec("t");
-    auto &g = spec.group({"astar", "mcf", "lbm"});
-    g.variant("base", CoreMode::Baseline);
+    const SweepSpec spec = specFrom(R"({
+        "sweep": "t", "schema_version": 1,
+        "groups": [{"workloads": ["astar", "mcf", "lbm"],
+            "variants": [{"name": "base", "mode": "baseline"}]}]})");
 
     // Filter order wins over group order, and unmatched entries in
     // the group vanish.
@@ -153,9 +164,13 @@ TEST(SweepSpec, FilterRestrictsToFilterOrder)
 
 TEST(SweepSpec, FilterCanEmptyOutAGroup)
 {
-    SweepSpec spec("t");
-    spec.group({"astar"}).variant("base", CoreMode::Baseline);
-    spec.group({"mcf"}).variant("cdf", CoreMode::Cdf);
+    const SweepSpec spec = specFrom(R"({
+        "sweep": "t", "schema_version": 1,
+        "groups": [
+            {"workloads": ["astar"],
+             "variants": [{"name": "base", "mode": "baseline"}]},
+            {"workloads": ["mcf"],
+             "variants": [{"name": "cdf", "mode": "cdf"}]}]})");
 
     EXPECT_EQ(cellIds(spec.expand(CoreConfig{}, {"mcf"})),
               (std::vector<std::string>{"mcf/cdf"}));
@@ -170,9 +185,9 @@ TEST(SweepSpec, WindowLayersDefaultsGroupAxisVariant)
 
     auto &g = spec.group({"astar"});
     g.window.measureInstrs = 20;
-    auto &v = g.variant("v", CoreMode::Baseline);
+    cdfsim::sim::SpecVariant v{"v", CoreMode::Baseline, {}, {}};
     v.window.maxCycles = 30;
-    g.variant("w", CoreMode::Baseline);
+    g.variants = {v, {"w", CoreMode::Baseline, {}, {}}};
 
     const auto cells = spec.expand(CoreConfig{});
     ASSERT_EQ(cells.size(), 2u);
@@ -184,12 +199,13 @@ TEST(SweepSpec, WindowLayersDefaultsGroupAxisVariant)
 
 TEST(SweepSpec, ConfigOverridesApplyAxisThenVariant)
 {
-    SweepSpec spec("t");
-    auto &g = spec.group({"astar"});
-    g.axis("size").value("big").set("rob_size", 512);
-    g.variant("v", CoreMode::Cdf)
-        .set("rob_size", 64)
-        .set("cdf.partition.dynamic", false);
+    const SweepSpec spec = specFrom(R"({
+        "sweep": "t", "schema_version": 1,
+        "groups": [{"workloads": ["astar"],
+            "axes": [{"name": "size", "values": [
+                {"tag": "big", "config": {"rob_size": 512}}]}],
+            "variants": [{"name": "v", "mode": "cdf", "config": {
+                "rob_size": 64, "cdf.partition.dynamic": false}}]}]})");
 
     const auto cells = spec.expand(CoreConfig{});
     ASSERT_EQ(cells.size(), 1u);
@@ -301,13 +317,13 @@ TEST(SweepSpec, WorkloadSetAndStarResolve)
 {
     SweepSpec spec("t");
     spec.defineWorkloadSet("pair", {"mcf", "astar"});
-    spec.group({"@pair"}).variant("v", CoreMode::Baseline);
+    spec.group({"@pair"}).variants = {{"v", CoreMode::Baseline, {}, {}}};
 
     EXPECT_EQ(cellIds(spec.expand(CoreConfig{})),
               (std::vector<std::string>{"mcf/v", "astar/v"}));
 
     SweepSpec all("t2");
-    all.group({"*"}).variant("v", CoreMode::Baseline);
+    all.group({"*"}).variants = {{"v", CoreMode::Baseline, {}, {}}};
     EXPECT_EQ(
         all.workloadUnion(),
         cdfsim::workloads::allWorkloadNames());
@@ -335,10 +351,10 @@ TEST(SweepSpec, JsonAndBuilderExpandIdentically)
     built.defaults().warmupInstrs = 10;
     built.defaults().measureInstrs = 20;
     built.defaults().maxCycles = 30;
-    auto &g = built.group({"astar", "mcf"});
-    g.variant("base", CoreMode::Baseline);
-    g.variant("cdf_nobr", CoreMode::Cdf)
-        .set("cdf.mark_critical_branches", false);
+    built.group({"astar", "mcf"}).variants = {
+        {"base", CoreMode::Baseline, {}, {}},
+        {"cdf_nobr", CoreMode::Cdf,
+         {{"cdf.mark_critical_branches", Json(false)}}, {}}};
 
     const auto a = fromJson.expand(CoreConfig{});
     const auto b = built.expand(CoreConfig{});
@@ -433,30 +449,33 @@ TEST(SweepSpec, UnknownWorkloadAndSetAreRejected)
 
 TEST(SweepSpec, UnknownOverrideKeyIsRejectedAtExpand)
 {
-    SweepSpec spec("t");
-    spec.group({"astar"})
-        .variant("v", CoreMode::Cdf)
-        .set("cdf.no_such_knob", true);
+    const SweepSpec spec = specFrom(R"({
+        "sweep": "t", "schema_version": 1,
+        "groups": [{"workloads": ["astar"], "variants": [
+            {"name": "v", "mode": "cdf",
+             "config": {"cdf.no_such_knob": true}}]}]})");
     expectSpecError([&] { spec.expand(CoreConfig{}); },
                     "groups[0].variants[0].config.cdf.no_such_knob");
 }
 
 TEST(SweepSpec, OverrideTypeMismatchIsRejected)
 {
-    SweepSpec spec("t");
-    spec.group({"astar"})
-        .variant("v", CoreMode::Cdf)
-        .set("cdf.partition.dynamic", 3); // boolean knob
+    const SweepSpec spec = specFrom(R"({
+        "sweep": "t", "schema_version": 1,
+        "groups": [{"workloads": ["astar"], "variants": [
+            {"name": "v", "mode": "cdf",
+             "config": {"cdf.partition.dynamic": 3}}]}]})");
     expectSpecError([&] { spec.expand(CoreConfig{}); },
                     "expected a boolean");
 }
 
 TEST(SweepSpec, DuplicateCellsAreRejected)
 {
-    SweepSpec spec("t");
-    auto &g = spec.group({"astar"});
-    g.variant("v", CoreMode::Baseline);
-    g.variant("v", CoreMode::Cdf);
+    const SweepSpec spec = specFrom(R"({
+        "sweep": "t", "schema_version": 1,
+        "groups": [{"workloads": ["astar"], "variants": [
+            {"name": "v", "mode": "baseline"},
+            {"name": "v", "mode": "cdf"}]}]})");
     expectSpecError([&] { spec.expand(CoreConfig{}); },
                     "duplicate cell astar/v");
 }
