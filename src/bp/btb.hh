@@ -55,25 +55,13 @@ class Btb
         e.target = target;
     }
 
-    /** Snapshot all entries (capacity is config-fixed). */
-    void
-    save(SnapWriter &w) const
+    /** Field list: all entries (capacity is config-fixed). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        for (const Entry &e : entries_) {
-            w.b(e.valid);
-            w.u64(e.tag);
-            w.u64(e.target);
-        }
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        for (Entry &e : entries_) {
-            e.valid = r.b();
-            e.tag = r.u64();
-            e.target = r.u64();
-        }
+        for (auto &e : self.entries_)
+            ar.io(e.valid, e.tag, e.target);
     }
 
   private:
@@ -116,6 +104,30 @@ class Ras
         std::size_t depth = 0; //!< entries of stack in use
         std::size_t top = 0;
         std::size_t size = 0;
+
+        /** Field list of a checkpoint copy: the depth, then the
+         *  live stack. */
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &s, Ar &ar)
+        {
+            ar.io(s.depth);
+            SIM_ASSERT(s.depth <= kMaxRasDepth, "snapshot RAS depth ",
+                       s.depth, " exceeds ", kMaxRasDepth);
+            liveFields(s, ar);
+        }
+
+        /** The entries in use, then top and size. */
+        template <class Self, class Ar>
+        static void
+        liveFields(Self &s, Ar &ar)
+        {
+            for (std::size_t i = 0; i < s.depth; ++i)
+                ar.io(s.stack[i]);
+            ar.io(s.top, s.size);
+        }
+
+        SIM_SNAPSHOT_FIELDS(4);
     };
 
     explicit Ras(std::size_t depth)
@@ -156,23 +168,12 @@ class Ras
         s_ = s;
     }
 
-    /** Snapshot stream codec (depth is config-fixed). */
-    void
-    save(SnapWriter &w) const
+    /** Field list: the live stack (its depth is config-fixed). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        for (std::size_t i = 0; i < s_.depth; ++i)
-            w.u64(s_.stack[i]);
-        w.u64(s_.top);
-        w.u64(s_.size);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        for (std::size_t i = 0; i < s_.depth; ++i)
-            s_.stack[i] = r.u64();
-        s_.top = static_cast<std::size_t>(r.u64());
-        s_.size = static_cast<std::size_t>(r.u64());
+        Snapshot::liveFields(self.s_, ar);
     }
 
   private:
@@ -180,32 +181,6 @@ class Ras
 
     Snapshot s_;
 };
-
-/** Snapshot codec for the copyable RAS checkpoint: the depth, the
- *  entries in use, then top and size. */
-inline void
-save(SnapWriter &w, const Ras::Snapshot &s)
-{
-    w.u64(s.depth);
-    for (std::size_t i = 0; i < s.depth; ++i)
-        w.u64(s.stack[i]);
-    w.u64(s.top);
-    w.u64(s.size);
-}
-
-inline void
-restore(SnapReader &r, Ras::Snapshot &s)
-{
-    const std::uint64_t depth = r.u64();
-    SIM_ASSERT(depth <= kMaxRasDepth, "snapshot RAS depth ", depth,
-               " exceeds ", kMaxRasDepth);
-    s = Ras::Snapshot{};
-    s.depth = static_cast<std::size_t>(depth);
-    for (std::size_t i = 0; i < s.depth; ++i)
-        s.stack[i] = r.u64();
-    s.top = static_cast<std::size_t>(r.u64());
-    s.size = static_cast<std::size_t>(r.u64());
-}
 
 } // namespace cdfsim::bp
 

@@ -38,22 +38,16 @@ struct BpCheckpoint
 {
     TageCheckpoint tage;
     Ras::Snapshot ras;
+
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.tage, c.ras);
+    }
+
+    SIM_SNAPSHOT_FIELDS(2);
 };
-
-/** Snapshot codec for BpCheckpoint. */
-inline void
-save(SnapWriter &w, const BpCheckpoint &c)
-{
-    save(w, c.tage);
-    save(w, c.ras);
-}
-
-inline void
-restore(SnapReader &r, BpCheckpoint &c)
-{
-    restore(r, c.tage);
-    restore(r, c.ras);
-}
 
 /** Predictor configuration. */
 struct PredictorConfig
@@ -61,6 +55,16 @@ struct PredictorConfig
     TageConfig tage{};
     std::size_t btbEntries = 4096;
     std::size_t rasDepth = 32;
+
+    /** Warmup-key field list (sim/snapshot.cc). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.tage, c.btbEntries, c.rasDepth);
+    }
+
+    SIM_SNAPSHOT_FIELDS(3);
 };
 
 /** The frontend predictor bundle. */
@@ -99,21 +103,12 @@ class BranchPredictor
 
     Tage &tage() { return tage_; }
 
-    /** Snapshot every predictor structure. */
-    void
-    save(SnapWriter &w) const
+    /** Field list: every predictor structure. */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        tage_.save(w);
-        btb_.save(w);
-        ras_.save(w);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        tage_.restore(r);
-        btb_.restore(r);
-        ras_.restore(r);
+        ar.io(self.tage_, self.btb_, self.ras_);
     }
 
   private:

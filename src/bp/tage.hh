@@ -48,6 +48,19 @@ struct TageConfig
     unsigned loopConfidenceMax = 3;
     unsigned scEntriesLog2 = 12;
     unsigned scThreshold = 5;          //!< |sum| needed to flip TAGE
+
+    /** Warmup-key field list (sim/snapshot.cc). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.numTables, c.tableBitsLog2, c.tagBits, c.counterBits,
+              c.usefulBits, c.minHistory, c.maxHistory,
+              c.bimodalBitsLog2, c.loopEntries, c.loopConfidenceMax,
+              c.scEntriesLog2, c.scThreshold);
+    }
+
+    SIM_SNAPSHOT_FIELDS(12);
 };
 
 /** Upper bound on tagged tables (for the per-prediction stash). */
@@ -73,47 +86,16 @@ struct TageCheckpoint
     std::array<std::uint16_t, kMaxLoopEntries> loopSpecIters{};
     /** Saved (full, partial) pair per incremental history fold. */
     std::array<std::uint32_t, 2 * kMaxTageFolds> folds{};
+
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.history, c.pathHistory, c.loopSpecIters, c.folds);
+    }
+
+    SIM_SNAPSHOT_FIELDS(4);
 };
-
-/** Snapshot codec for the wide history register (4 x 64 bits). */
-inline void
-save(SnapWriter &w, const History &h)
-{
-    const History mask{~std::uint64_t{0}};
-    for (unsigned chunk = 0; chunk < 4; ++chunk)
-        w.u64(((h >> (64 * chunk)) & mask).to_ullong());
-}
-
-inline void
-restore(SnapReader &r, History &h)
-{
-    h.reset();
-    for (unsigned chunk = 0; chunk < 4; ++chunk)
-        h |= History{r.u64()} << (64 * chunk);
-}
-
-/** Snapshot codec for TageCheckpoint. */
-inline void
-save(SnapWriter &w, const TageCheckpoint &c)
-{
-    save(w, c.history);
-    w.u32(c.pathHistory);
-    for (std::uint16_t v : c.loopSpecIters)
-        w.u16(v);
-    for (std::uint32_t v : c.folds)
-        w.u32(v);
-}
-
-inline void
-restore(SnapReader &r, TageCheckpoint &c)
-{
-    restore(r, c.history);
-    c.pathHistory = r.u32();
-    for (std::uint16_t &v : c.loopSpecIters)
-        v = r.u16();
-    for (std::uint32_t &v : c.folds)
-        v = r.u32();
-}
 
 /**
  * Per-prediction bookkeeping carried until update time. The table
@@ -134,44 +116,20 @@ struct TagePredictionInfo
     std::uint32_t scIndex = 0;
     std::array<unsigned, kMaxTageTables> indices{};
     std::array<std::uint16_t, kMaxTageTables> tags{};
+
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &p, Ar &ar)
+    {
+        ar.io(p.taken, p.tageTaken);
+        ar.i64(p.providerTable);
+        ar.io(p.providerWeak, p.altTaken, p.loopUsed);
+        ar.u64(p.loopIndex);
+        ar.io(p.scUsed, p.scIndex, p.indices, p.tags);
+    }
+
+    SIM_SNAPSHOT_FIELDS(11);
 };
-
-/** Snapshot codec for TagePredictionInfo. */
-inline void
-save(SnapWriter &w, const TagePredictionInfo &p)
-{
-    w.b(p.taken);
-    w.b(p.tageTaken);
-    w.i64(p.providerTable);
-    w.b(p.providerWeak);
-    w.b(p.altTaken);
-    w.b(p.loopUsed);
-    w.u64(p.loopIndex);
-    w.b(p.scUsed);
-    w.u32(p.scIndex);
-    for (unsigned v : p.indices)
-        w.u32(v);
-    for (std::uint16_t v : p.tags)
-        w.u16(v);
-}
-
-inline void
-restore(SnapReader &r, TagePredictionInfo &p)
-{
-    p.taken = r.b();
-    p.tageTaken = r.b();
-    p.providerTable = static_cast<int>(r.i64());
-    p.providerWeak = r.b();
-    p.altTaken = r.b();
-    p.loopUsed = r.b();
-    p.loopIndex = static_cast<unsigned>(r.u64());
-    p.scUsed = r.b();
-    p.scIndex = r.u32();
-    for (unsigned &v : p.indices)
-        v = r.u32();
-    for (std::uint16_t &v : p.tags)
-        v = r.u16();
-}
 
 /** The direction predictor. */
 class Tage
@@ -209,9 +167,10 @@ class Tage
      *  against the maintained value (test hook). */
     bool checkFolds() const;
 
-    /** Snapshot every table and the speculative history state. */
-    void save(SnapWriter &w) const;
-    void restore(SnapReader &r);
+    /** Field list: every table and the speculative history state
+     *  (defined in tage.cc for the two archives). */
+    template <class Self, class Ar>
+    static void snapFields(Self &self, Ar &ar);
 
   private:
     struct TaggedEntry

@@ -37,6 +37,18 @@ struct CriticalTableConfig
     unsigned permissiveThreshold = 2;
     unsigned missInc = 2;           //!< bump on an LLC miss/mispredict
     unsigned hitDec = 1;            //!< decay on a hit/correct pred.
+
+    /** Warmup-key field list (sim/snapshot.cc). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.entries, c.ways, c.strictBits, c.strictThreshold,
+              c.permissiveBits, c.permissiveThreshold, c.missInc,
+              c.hitDec);
+    }
+
+    SIM_SNAPSHOT_FIELDS(8);
 };
 
 /** Which threshold set the predictor is currently using. */
@@ -78,34 +90,15 @@ class CriticalCountTable
      */
     void auditInvariants() const;
 
-    /** Snapshot entries and the threshold/LRU state (geometry and
+    /** Field list: entries and the threshold/LRU state (geometry and
      *  counter widths are config-fixed and excluded). */
-    void
-    save(SnapWriter &w) const
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        for (const Entry &e : entries_) {
-            w.b(e.valid);
-            w.u64(e.tag);
-            w.u32(e.strict.value());
-            w.u32(e.permissive.value());
-            w.u64(e.lruTick);
-        }
-        w.u64(tick_);
-        w.u8(static_cast<std::uint8_t>(mode_));
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        for (Entry &e : entries_) {
-            e.valid = r.b();
-            e.tag = r.u64();
-            e.strict.set(r.u32());
-            e.permissive.set(r.u32());
-            e.lruTick = r.u64();
-        }
-        tick_ = r.u64();
-        mode_ = static_cast<ThresholdMode>(r.u8());
+        for (auto &e : self.entries_)
+            ar.io(e.valid, e.tag, e.strict, e.permissive, e.lruTick);
+        ar.io(self.tick_, self.mode_);
     }
 
   private:

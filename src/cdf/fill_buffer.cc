@@ -26,6 +26,7 @@ WalkResult
 FillBuffer::onRetire(const RetiredUopInfo &info,
                      std::uint64_t retiredInstrs, Cycle now)
 {
+    SIM_AUDIT_ONLY(if (audit_.due()) auditInvariants();)
     if (!collecting_) {
         if (retiredInstrs - collectionStart_ >=
             config_.refillIntervalInstrs) {
@@ -71,6 +72,22 @@ FillBuffer::onRetire(const RetiredUopInfo &info,
         return r;
     }
     return {};
+}
+
+void
+FillBuffer::auditInvariants() const
+{
+    SIM_ASSERT(entries_.size() <= config_.capacity,
+               "fill buffer holds ", entries_.size(),
+               " uops, past its capacity ", config_.capacity);
+    SIM_ASSERT(!collecting_ || entries_.size() < config_.capacity,
+               "fill buffer still collecting at capacity (missed walk)");
+    SIM_ASSERT(entries_.empty() || entries_.front().startsBasicBlock,
+               "fill buffer window does not start a basic block");
+    SIM_ASSERT(config_.useMaskCache ||
+                   (!activeMaskValid_ && activeMask_ == 0 &&
+                    activeMaskOffset_ == 0),
+               "mask shift register live with the Mask Cache off");
 }
 
 void

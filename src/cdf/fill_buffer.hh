@@ -29,6 +29,7 @@
 
 #include "cdf/mask_cache.hh"
 #include "cdf/uop_cache.hh"
+#include "common/audit.hh"
 #include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -45,6 +46,17 @@ struct FillBufferConfig
     double minDensity = 0.02;
     double maxDensity = 0.50;
     bool useMaskCache = true;   //!< ablation switch
+
+    /** Warmup-key field list (sim/snapshot.cc). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.capacity, c.refillIntervalInstrs, c.minDensity,
+              c.maxDensity, c.useMaskCache);
+    }
+
+    SIM_SNAPSHOT_FIELDS(5);
 };
 
 /** Retire-side information for one uop entering the Fill Buffer. */
@@ -88,45 +100,39 @@ class FillBuffer
 
     bool collecting() const { return collecting_; }
 
-    /** Snapshot the collection window and the mask shift register
+    /**
+     * Collection-window walk: the buffer never holds more than its
+     * capacity, and strictly less while collecting (reaching
+     * capacity triggers the walk); a non-empty buffer starts on a
+     * basic-block boundary (the walk's first block relies on it);
+     * and no mask shift-register state is live when the Mask Cache
+     * is disabled. Always compiled; sampled from onRetire() in Audit
+     * builds and run after every restore.
+     */
+    void auditInvariants() const;
+
+    /** Field list: the collection window and the mask shift register
      *  (the referenced caches snapshot themselves). */
-    void
-    save(SnapWriter &w) const
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        w.u32(static_cast<std::uint32_t>(entries_.size()));
-        for (const Entry &e : entries_) {
-            w.u64(e.pc);
-            isa::save(w, e.uop);
-            w.u64(e.memWordAddr);
-            w.b(e.critical);
-            w.b(e.startsBasicBlock);
-        }
-        w.b(collecting_);
-        w.u64(collectionStart_);
-        w.u64(activeMask_);
-        w.u32(activeMaskOffset_);
-        w.b(activeMaskValid_);
+        ar.seq32(self.entries_, [](auto &a, auto &e) {
+            a.io(e.pc, e.uop, e.memWordAddr, e.critical,
+                 e.startsBasicBlock);
+        });
+        ar.io(self.collecting_, self.collectionStart_, self.activeMask_,
+              self.activeMaskOffset_, self.activeMaskValid_);
     }
 
-    void
-    restore(SnapReader &r)
-    {
-        entries_.resize(r.u32());
-        for (Entry &e : entries_) {
-            e.pc = r.u64();
-            isa::restore(r, e.uop);
-            e.memWordAddr = r.u64();
-            e.critical = r.b();
-            e.startsBasicBlock = r.b();
-        }
-        collecting_ = r.b();
-        collectionStart_ = r.u64();
-        activeMask_ = r.u64();
-        activeMaskOffset_ = r.u32();
-        activeMaskValid_ = r.b();
-    }
+    void afterRestore() const { auditInvariants(); }
 
   private:
+    // Qualified on purpose: an unqualified friend would declare a
+    // fresh cdfsim::cdf::AuditPeer instead of befriending the
+    // test-only backdoor forward-declared in common/audit.hh.
+    friend struct cdfsim::AuditPeer;
+
     struct Entry
     {
         Addr pc = 0;
@@ -140,7 +146,7 @@ class FillBuffer
     void markChains();
     WalkResult harvest(Cycle now);
 
-    SIM_SNAPSHOT_FIELDS(14);
+    SIM_SNAPSHOT_FIELDS(15);
 
     FillBufferConfig config_;
     MaskCache &maskCache_;
@@ -153,6 +159,7 @@ class FillBuffer
     std::uint64_t activeMask_ = 0;
     unsigned activeMaskOffset_ = 0;
     bool activeMaskValid_ = false;
+    mutable AuditSampler audit_{4096};
 
     std::uint64_t &walks_;
     std::uint64_t &walksRejectedLow_;

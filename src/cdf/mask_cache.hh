@@ -30,6 +30,16 @@ struct MaskCacheConfig
     unsigned entries = 512;
     unsigned ways = 4;
     std::uint64_t resetIntervalInstrs = 200000;
+
+    /** Warmup-key field list (sim/snapshot.cc). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.entries, c.ways, c.resetIntervalInstrs);
+    }
+
+    SIM_SNAPSHOT_FIELDS(3);
 };
 
 /** Per-basic-block critical-uop masks. */
@@ -64,32 +74,15 @@ class MaskCache
      */
     void auditInvariants() const;
 
-    /** Snapshot entries and the LRU/reset clocks (geometry is
+    /** Field list: entries and the LRU/reset clocks (geometry is
      *  config-fixed and excluded). */
-    void
-    save(SnapWriter &w) const
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        for (const Entry &e : entries_) {
-            w.b(e.valid);
-            w.u64(e.tag);
-            w.u64(e.mask);
-            w.u64(e.lruTick);
-        }
-        w.u64(tick_);
-        w.u64(lastReset_);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        for (Entry &e : entries_) {
-            e.valid = r.b();
-            e.tag = r.u64();
-            e.mask = r.u64();
-            e.lruTick = r.u64();
-        }
-        tick_ = r.u64();
-        lastReset_ = r.u64();
+        for (auto &e : self.entries_)
+            ar.io(e.valid, e.tag, e.mask, e.lruTick);
+        ar.io(self.tick_, self.lastReset_);
     }
 
   private:

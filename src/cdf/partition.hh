@@ -34,6 +34,17 @@ struct PartitionConfig
     unsigned minSection = 8;      //!< floor for either section (ROB)
     unsigned minLsqSection = 4;   //!< floor for either section (LQ/SQ)
     double initialCriticalFrac = 0.75;
+
+    /** Warmup-key field list (sim/snapshot.cc). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.dynamic, c.stallThreshold, c.robStep, c.lsqStep,
+              c.minSection, c.minLsqSection, c.initialCriticalFrac);
+    }
+
+    SIM_SNAPSHOT_FIELDS(7);
 };
 
 /** One partitioned structure (ROB, LQ or SQ). */
@@ -92,21 +103,12 @@ class SectionPartition
     /** Reset to the initial split (on CDF episode boundaries). */
     void reset();
 
-    /** Snapshot the mutable split state (policy knobs are config). */
-    void
-    save(SnapWriter &w) const
+    /** Field list: the mutable split state (policy knobs are config). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        w.u32(critCap_);
-        w.u64(critStalls_);
-        w.u64(nonCritStalls_);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        critCap_ = r.u32();
-        critStalls_ = r.u64();
-        nonCritStalls_ = r.u64();
+        ar.io(self.critCap_, self.critStalls_, self.nonCritStalls_);
     }
 
   private:

@@ -111,36 +111,22 @@ class CircularQueue
     }
 
     /**
-     * Serialize capacity, cursor and live elements. head_ is kept
-     * verbatim (not renormalized to zero) so a restored queue's slot
-     * layout — and therefore any future snapshot of it — is
-     * byte-identical to the original's.
+     * Field list: capacity (echoed), cursor and live elements, each
+     * coded by @p each. head_ is kept verbatim (not renormalized to
+     * zero) so a restored queue's slot layout — and therefore any
+     * future snapshot of it — is byte-identical to the original's.
      */
-    template <typename SaveFn>
-    void
-    save(SnapWriter &w, SaveFn &&fn) const
+    template <class Self, class Ar, class Each>
+    static void
+    snapFields(Self &self, Ar &ar, Each each)
     {
-        w.u64(buf_.size());
-        w.u64(head_);
-        w.u64(count_);
-        for (std::size_t i = 0; i < count_; ++i)
-            fn(w, at(i));
-    }
-
-    template <typename LoadFn>
-    void
-    restore(SnapReader &r, LoadFn &&fn)
-    {
-        const std::uint64_t capacity = r.u64();
-        SIM_ASSERT(capacity == buf_.size(),
-                   "snapshot CircularQueue capacity ", capacity,
-                   " != configured ", buf_.size());
-        head_ = static_cast<std::size_t>(r.u64());
-        count_ = static_cast<std::size_t>(r.u64());
-        SIM_ASSERT(head_ < buf_.size() && count_ <= buf_.size(),
+        ar.echo(self.buf_.size(), "CircularQueue capacity");
+        ar.io(self.head_, self.count_);
+        SIM_ASSERT(self.head_ < self.buf_.size() &&
+                       self.count_ <= self.buf_.size(),
                    "snapshot CircularQueue cursor out of range");
-        for (std::size_t i = 0; i < count_; ++i)
-            buf_[index(i)] = fn(r);
+        for (std::size_t i = 0; i < self.count_; ++i)
+            each(ar, self.buf_[self.index(i)]);
     }
 
   private:

@@ -107,31 +107,21 @@ class MonotonicCycleRing
     std::size_t capacity() const { return buf_.size(); }
 
     /**
-     * Serialize the buffer verbatim — capacity included, because
+     * Field list: the buffer verbatim — capacity included, because
      * capacity grows on demand and determines when future pushes
      * reshuffle the ring (head_ resets on grow), which a re-snapshot
      * of the restored ring must reproduce.
      */
-    void
-    save(SnapWriter &w) const
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        w.u64(buf_.size());
-        w.u64(head_);
-        w.u64(count_);
-        for (Cycle c : buf_)
-            w.u64(c);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        buf_.resize(static_cast<std::size_t>(r.u64()));
-        head_ = static_cast<std::size_t>(r.u64());
-        count_ = static_cast<std::size_t>(r.u64());
-        SIM_ASSERT(count_ <= buf_.size(),
+        ar.len64(self.buf_);
+        ar.io(self.head_, self.count_);
+        SIM_ASSERT(self.count_ <= self.buf_.size(),
                    "snapshot cycle ring count exceeds capacity");
-        for (Cycle &c : buf_)
-            c = r.u64();
+        for (auto &c : self.buf_)
+            ar.io(c);
     }
 
     /**
@@ -257,28 +247,19 @@ class CycleCountRing
     Cycle cursor() const { return base_; }
     std::size_t horizon() const { return counts_.size(); }
 
-    /** Serialize buckets verbatim (horizon included — it grows on
+    /** Field list: buckets verbatim (horizon included — it grows on
      *  demand, so it is part of the reproducible state). */
-    void
-    save(SnapWriter &w) const
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        w.u64(counts_.size());
-        w.u64(base_);
-        w.u64(outstanding_);
-        for (std::uint32_t c : counts_)
-            w.u32(c);
+        ar.len64(self.counts_);
+        ar.io(self.base_, self.outstanding_);
+        for (auto &c : self.counts_)
+            ar.io(c);
     }
 
-    void
-    restore(SnapReader &r)
-    {
-        counts_.resize(static_cast<std::size_t>(r.u64()));
-        base_ = r.u64();
-        outstanding_ = static_cast<std::size_t>(r.u64());
-        for (std::uint32_t &c : counts_)
-            c = r.u32();
-        SIM_AUDIT_ONLY(auditInvariants();)
-    }
+    void afterRestore() const { SIM_AUDIT_ONLY(auditInvariants();) }
 
     /**
      * Count-agreement walk: the cached outstanding total (which MLP

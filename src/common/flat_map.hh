@@ -147,38 +147,31 @@ class FlatMap
     }
 
     /**
-     * Serialize the table slot-verbatim (capacity plus every slot,
+     * Field list: the table slot-verbatim (capacity plus every slot,
      * occupied or empty) so the restored map reproduces the exact
      * probe layout — including displacement left by past erases —
-     * rather than a rehashed equivalent. @p fn serializes one value.
+     * rather than a rehashed equivalent. @p each codes one value.
      */
-    template <typename SaveFn>
-    void
-    save(SnapWriter &w, SaveFn &&fn) const
+    template <class Self, class Ar, class Each>
+    static void
+    snapFields(Self &self, Ar &ar, Each each)
     {
-        w.u64(slots_.size());
-        w.u64(size_);
-        for (const Slot &s : slots_) {
-            w.u64(static_cast<std::uint64_t>(s.key));
-            fn(w, s.val);
+        ar.len64(self.slots_);
+        const std::size_t capacity = self.slots_.size();
+        SIM_ASSERT(capacity >= 16 && (capacity & (capacity - 1)) == 0,
+                   "snapshot FlatMap capacity not a power of two");
+        ar.io(self.size_);
+        for (auto &s : self.slots_) {
+            ar.io(s.key);
+            each(ar, s.val);
         }
     }
 
-    template <typename LoadFn>
+    /** Rebuild the probe mask from the restored capacity. */
     void
-    restore(SnapReader &r, LoadFn &&fn)
+    afterRestore()
     {
-        const std::uint64_t capacity = r.u64();
-        SIM_ASSERT(capacity >= 16 &&
-                       (capacity & (capacity - 1)) == 0,
-                   "snapshot FlatMap capacity not a power of two");
-        size_ = static_cast<std::size_t>(r.u64());
-        slots_.resize(static_cast<std::size_t>(capacity));
-        mask_ = static_cast<std::size_t>(capacity) - 1;
-        for (Slot &s : slots_) {
-            s.key = static_cast<K>(r.u64());
-            s.val = fn(r);
-        }
+        mask_ = slots_.size() - 1;
         SIM_AUDIT_ONLY(auditInvariants();)
     }
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 namespace cdfsim
 {
@@ -24,6 +25,14 @@ fnv1a64(std::string_view bytes,
         h *= 0x100000001B3ull;
     }
     return h;
+}
+
+/** FNV-1a 64-bit over a byte buffer (snapshot payloads). */
+inline std::uint64_t
+fnv1a64(const std::vector<std::uint8_t> &bytes)
+{
+    return fnv1a64({reinterpret_cast<const char *>(bytes.data()),
+                    bytes.size()});
 }
 
 /**

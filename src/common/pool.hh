@@ -133,49 +133,40 @@ class SlabPool
      * Serialize the pool so a restored pool reproduces the exact
      * same future handle assignment: slab count, alive bitmap and
      * the freelist are written verbatim (the LIFO order *is* the
-     * allocation order), then @p fn serializes each live element in
-     * ascending handle order.
+     * allocation order), then each live element in ascending handle
+     * order. An explicit pair rather than a field list: restore
+     * re-constructs the live slots and rebuilds the freelist for
+     * slabs the snapshot pool had not grown yet.
      */
-    template <typename SaveFn>
     void
-    save(SnapWriter &w, SaveFn &&fn) const
+    save(SnapWriter &w) const
     {
         w.u32(slabSize_);
-        w.u64(alive_.size());
-        for (std::uint8_t a : alive_)
-            w.u8(a);
-        w.u64(freeList_.size());
-        for (std::uint32_t idx : freeList_)
-            w.u32(idx);
+        w.seq64(alive_);
+        w.seq64(freeList_);
         for (std::uint32_t i = 0; i < alive_.size(); ++i) {
             if (alive_[i])
-                fn(w, at(i));
+                w.io(at(i));
         }
     }
 
-    /** Inverse of save(); @p fn fills each re-constructed element. */
-    template <typename LoadFn>
     void
-    restore(SnapReader &r, LoadFn &&fn)
+    restore(SnapReader &r)
     {
         for (std::uint32_t i = 0; i < alive_.size(); ++i) {
             if (alive_[i])
                 at(i).~T();
         }
-        const std::uint32_t slabSize = r.u32();
-        SIM_ASSERT(slabSize == slabSize_,
-                   "snapshot slab size ", slabSize,
-                   " != configured ", slabSize_);
-        const std::uint64_t capacity = r.u64();
+        r.echo(slabSize_, "slab size");
+        r.seq64(alive_);
+        const std::uint64_t capacity = alive_.size();
         SIM_ASSERT(capacity % slabSize_ == 0,
                    "snapshot pool capacity not slab-aligned");
         while (slabs_.size() * slabSize_ < capacity)
             slabs_.push_back(std::make_unique<Slot[]>(slabSize_));
         const std::uint64_t ourCapacity =
             slabs_.size() * std::uint64_t{slabSize_};
-        alive_.assign(ourCapacity, 0);
-        for (std::uint64_t i = 0; i < capacity; ++i)
-            alive_[i] = r.u8();
+        alive_.resize(ourCapacity, 0);
         // Slots beyond the snapshot's capacity exist only when this
         // pool grew after the snapshot was taken. The snapshot pool
         // would re-grow them on demand in ascending slab order, so
@@ -189,15 +180,16 @@ class SlabPool
                 freeList_.push_back(
                     static_cast<std::uint32_t>(base + i));
         }
-        const std::uint64_t savedFree = r.u64();
-        for (std::uint64_t i = 0; i < savedFree; ++i)
-            freeList_.push_back(r.u32());
+        std::vector<std::uint32_t> savedFree;
+        r.seq64(savedFree);
+        freeList_.insert(freeList_.end(), savedFree.begin(),
+                         savedFree.end());
         live_ = 0;
         for (std::uint32_t i = 0; i < capacity; ++i) {
             if (!alive_[i])
                 continue;
             ::new (slotPtr(i)) T();
-            fn(r, at(i));
+            r.io(at(i));
             ++live_;
         }
         SIM_AUDIT_ONLY(auditInvariants();)

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "common/logging.hh"
+#include "common/serialize.hh"
 
 namespace cdfsim
 {
@@ -72,7 +73,17 @@ class SatCounter
     /** Reset to zero. */
     void reset() { value_ = 0; }
 
+    /** Field list: the value (the width is config-fixed). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
+    {
+        ar.io(self.value_);
+    }
+
   private:
+    SIM_SNAPSHOT_FIELDS(2);
+
     unsigned maxVal_;
     unsigned value_;
 };

@@ -112,18 +112,11 @@ class RunningMean
         n_ = 0;
     }
 
-    void
-    save(SnapWriter &w) const
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        w.f64(sum_);
-        w.u64(n_);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        sum_ = r.f64();
-        n_ = r.u64();
+        ar.io(self.sum_, self.n_);
     }
 
   private:

@@ -39,38 +39,17 @@ struct ExecRecord
     bool taken = false;       //!< branch outcome (uncond branches: true)
     Addr nextPc = 0;          //!< correct-path successor PC
     bool halt = false;        //!< this uop ends the program
+
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &e, Ar &ar)
+    {
+        ar.io(e.seq, e.pc, e.uop, e.srcVal1, e.srcVal2, e.result,
+              e.memAddr, e.taken, e.nextPc, e.halt);
+    }
+
+    SIM_SNAPSHOT_FIELDS(10);
 };
-
-/** Snapshot codec for ExecRecord. */
-inline void
-save(SnapWriter &w, const ExecRecord &e)
-{
-    w.u64(e.seq);
-    w.u64(e.pc);
-    save(w, e.uop);
-    w.u64(e.srcVal1);
-    w.u64(e.srcVal2);
-    w.u64(e.result);
-    w.u64(e.memAddr);
-    w.b(e.taken);
-    w.u64(e.nextPc);
-    w.b(e.halt);
-}
-
-inline void
-restore(SnapReader &r, ExecRecord &e)
-{
-    e.seq = r.u64();
-    e.pc = r.u64();
-    restore(r, e.uop);
-    e.srcVal1 = r.u64();
-    e.srcVal2 = r.u64();
-    e.result = r.u64();
-    e.memAddr = r.u64();
-    e.taken = r.b();
-    e.nextPc = r.u64();
-    e.halt = r.b();
-}
 
 /**
  * Executes a Program against a register file and a MemoryImage.
@@ -185,25 +164,12 @@ class Interpreter
         return r;
     }
 
-    /** Snapshot cursor state (memory is serialized separately). */
-    void
-    save(SnapWriter &w) const
+    /** Field list: cursor state (memory is serialized separately). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        for (std::uint64_t v : regs_)
-            w.u64(v);
-        w.u64(pc_);
-        w.u64(executed_);
-        w.b(halted_);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        for (std::uint64_t &v : regs_)
-            v = r.u64();
-        pc_ = r.u64();
-        executed_ = r.u64();
-        halted_ = r.b();
+        ar.io(self.regs_, self.pc_, self.executed_, self.halted_);
     }
 
   private:

@@ -30,12 +30,8 @@ MemoryImage::saveDelta(SnapWriter &w, const MemoryImage &base) const
     }
     std::sort(dirty.begin(), dirty.end());
     w.u64(dirty.size());
-    for (Addr id : dirty) {
-        w.u64(id);
-        const Page &page = *pages_.at(id);
-        for (std::uint64_t word : page)
-            w.u64(word);
-    }
+    for (Addr id : dirty)
+        w.io(id, *pages_.at(id));
 }
 
 void
@@ -44,10 +40,9 @@ MemoryImage::restoreDelta(SnapReader &r, const MemoryImage &base)
     pages_ = base.pages_; // share every pristine page again
     const std::uint64_t dirty = r.u64();
     for (std::uint64_t i = 0; i < dirty; ++i) {
-        const Addr id = r.u64();
+        Addr id = 0;
         auto page = std::make_shared<Page>();
-        for (std::uint64_t &word : *page)
-            word = r.u64();
+        r.io(id, *page);
         pages_[id] = std::move(page);
     }
 }

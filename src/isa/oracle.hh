@@ -71,9 +71,15 @@ class OracleStream
     const Program &program() const { return interp_.program(); }
     MemoryImage &memory() { return interp_.memory(); }
 
-    /** Snapshot cursors + retained window (not program memory). */
-    void save(SnapWriter &w) const;
-    void restore(SnapReader &r);
+    /** Field list: cursors + retained window (not program memory). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
+    {
+        ar.io(self.interp_);
+        ar.seq64(self.window_);
+        ar.io(self.base_, self.sawHalt_, self.haltSeq_);
+    }
 
   private:
     void materializeTo(SeqNum seq);
@@ -115,9 +121,16 @@ class WrongPathWalker
     bool active() const { return active_; }
     void deactivate() { active_ = false; }
 
-    /** Snapshot shadow state (store buffer is key-sorted on save). */
-    void save(SnapWriter &w) const;
-    void restore(SnapReader &r);
+    /** Field list: shadow state, the store buffer key-sorted so the
+     *  bytes are deterministic across processes and libraries. */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
+    {
+        ar.io(self.regs_);
+        ar.keySorted(self.storeBuf_);
+        ar.io(self.active_);
+    }
 
   private:
     SIM_SNAPSHOT_FIELDS(5);

@@ -34,6 +34,16 @@ struct CacheConfig
     unsigned ways = 8;
     unsigned latency = 2;      //!< access (hit) latency in core cycles
     unsigned mshrs = 16;       //!< outstanding-miss capacity
+
+    /** Warmup-key field list (sim/snapshot.cc). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.name, c.sizeBytes, c.ways, c.latency, c.mshrs);
+    }
+
+    SIM_SNAPSHOT_FIELDS(5);
 };
 
 /** Result of a cache lookup-and-fill operation. */
@@ -186,38 +196,17 @@ class Cache
         return mshrs_.empty() ? kNeverCycle : mshrs_.earliest();
     }
 
-    /** Snapshot tags, LRU clock, tag generation and the MSHR ring
+    /** Field list: tags, LRU clock, tag generation and the MSHR ring
      *  (geometry is config-fixed and excluded). */
-    void
-    save(SnapWriter &w) const
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        for (const Way &way : tags_) {
-            w.b(way.valid);
-            w.b(way.dirty);
-            w.b(way.prefetched);
-            w.u64(way.lineAddr);
-            w.u64(way.lru);
-            w.u64(way.ready);
+        for (auto &way : self.tags_) {
+            ar.io(way.valid, way.dirty, way.prefetched, way.lineAddr,
+                  way.lru, way.ready);
         }
-        w.u64(lruClock_);
-        w.u64(tagGen_);
-        mshrs_.save(w);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        for (Way &way : tags_) {
-            way.valid = r.b();
-            way.dirty = r.b();
-            way.prefetched = r.b();
-            way.lineAddr = r.u64();
-            way.lru = r.u64();
-            way.ready = r.u64();
-        }
-        lruClock_ = r.u64();
-        tagGen_ = r.u64();
-        mshrs_.restore(r);
+        ar.io(self.lruClock_, self.tagGen_, self.mshrs_);
     }
 
   private:

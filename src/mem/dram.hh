@@ -40,6 +40,17 @@ struct DramConfig
     unsigned tRcd = 43;
     unsigned tBurst = 11;               //!< BL8 data transfer
     unsigned controllerLatency = 10;    //!< queue + PHY overhead
+
+    /** Warmup-key field list (sim/snapshot.cc). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.channels, c.bankGroups, c.banksPerGroup, c.rowBytes, c.tRp,
+              c.tCl, c.tRcd, c.tBurst, c.controllerLatency);
+    }
+
+    SIM_SNAPSHOT_FIELDS(9);
 };
 
 /** The memory request's service summary. */
@@ -68,30 +79,15 @@ class DramModel
 
     const DramConfig &config() const { return config_; }
 
-    /** Snapshot per-bank/bus timing state (geometry is config). */
-    void
-    save(SnapWriter &w) const
+    /** Field list: per-bank/bus timing state (geometry is config). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        for (const Channel &ch : channels_) {
-            for (const Bank &bank : ch.banks) {
-                w.b(bank.open);
-                w.u64(bank.openRow);
-                w.u64(bank.busyUntil);
-            }
-            w.u64(ch.busUntil);
-        }
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        for (Channel &ch : channels_) {
-            for (Bank &bank : ch.banks) {
-                bank.open = r.b();
-                bank.openRow = r.u64();
-                bank.busyUntil = r.u64();
-            }
-            ch.busUntil = r.u64();
+        for (auto &ch : self.channels_) {
+            for (auto &bank : ch.banks)
+                ar.io(bank.open, bank.openRow, bank.busyUntil);
+            ar.io(ch.busUntil);
         }
     }
 

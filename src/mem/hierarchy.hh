@@ -78,6 +78,17 @@ struct HierarchyConfig
     DramConfig dram{};
     PrefetcherConfig prefetcher{};
     bool prefetcherEnabled = true;
+
+    /** Warmup-key field list (sim/snapshot.cc). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.l1i, c.l1d, c.llc, c.dram, c.prefetcher,
+              c.prefetcherEnabled);
+    }
+
+    SIM_SNAPSHOT_FIELDS(6);
 };
 
 /** The memory system. */
@@ -150,46 +161,19 @@ class MemHierarchy
     }
 
     /**
-     * Snapshot every level plus the outstanding-miss rings, the
+     * Field list: every level plus the outstanding-miss rings, the
      * probe memo and the prefetch-feedback cursors. Host-side
      * profiling state is excluded (it never affects timing).
      */
-    void
-    save(SnapWriter &w) const
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        l1i_.save(w);
-        l1d_.save(w);
-        llc_.save(w);
-        dram_.save(w);
-        prefetcher_.save(w);
-        demandMisses_.save(w);
-        uselessMisses_.save(w);
-        for (const ProbeCacheEntry &e : probeCache_) {
-            w.u64(e.line);
-            w.u64(e.gen);
-            w.b(e.miss);
-        }
-        w.u64(lastPrefUseful_);
-        w.u64(lastPrefIssued_);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        l1i_.restore(r);
-        l1d_.restore(r);
-        llc_.restore(r);
-        dram_.restore(r);
-        prefetcher_.restore(r);
-        demandMisses_.restore(r);
-        uselessMisses_.restore(r);
-        for (ProbeCacheEntry &e : probeCache_) {
-            e.line = r.u64();
-            e.gen = r.u64();
-            e.miss = r.b();
-        }
-        lastPrefUseful_ = r.u64();
-        lastPrefIssued_ = r.u64();
+        ar.io(self.l1i_, self.l1d_, self.llc_, self.dram_,
+              self.prefetcher_, self.demandMisses_, self.uselessMisses_);
+        for (auto &e : self.probeCache_)
+            ar.io(e.line, e.gen, e.miss);
+        ar.io(self.lastPrefUseful_, self.lastPrefIssued_);
     }
 
   private:

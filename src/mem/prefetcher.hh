@@ -36,6 +36,18 @@ struct PrefetcherConfig
     unsigned evalIntervalFills = 256;   //!< throttle evaluation period
     double lowAccuracy = 0.40;
     double highAccuracy = 0.75;
+
+    /** Warmup-key field list (sim/snapshot.cc). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.streams, c.trainDistance, c.minDegree, c.maxDegree,
+              c.initialDegree, c.evalIntervalFills, c.lowAccuracy,
+              c.highAccuracy);
+    }
+
+    SIM_SNAPSHOT_FIELDS(8);
 };
 
 /** Trained prefetch decisions for one trigger access. */
@@ -66,37 +78,18 @@ class StreamPrefetcher
 
     unsigned degree() const { return degree_; }
 
-    /** Snapshot stream table and throttle state. */
-    void
-    save(SnapWriter &w) const
+    /** Field list: stream table and throttle state. */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        for (const Stream &s : streams_) {
-            w.b(s.valid);
-            w.b(s.confirmed);
-            w.i64(s.lastLine);
-            w.i64(s.direction);
-            w.u64(s.lruTick);
+        for (auto &s : self.streams_) {
+            ar.io(s.valid, s.confirmed, s.lastLine);
+            ar.i64(s.direction);
+            ar.io(s.lruTick);
         }
-        w.u32(degree_);
-        w.u64(tick_);
-        w.u64(pendingUseful_);
-        w.u64(pendingIssued_);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        for (Stream &s : streams_) {
-            s.valid = r.b();
-            s.confirmed = r.b();
-            s.lastLine = r.i64();
-            s.direction = static_cast<int>(r.i64());
-            s.lruTick = r.u64();
-        }
-        degree_ = r.u32();
-        tick_ = r.u64();
-        pendingUseful_ = r.u64();
-        pendingIssued_ = r.u64();
+        ar.io(self.degree_, self.tick_, self.pendingUseful_,
+              self.pendingIssued_);
     }
 
   private:

@@ -300,8 +300,23 @@ class Core
     void applyPartitionCaps();
     void releasePartitionCaps();
 
+    /**
+     * Full-window stall: the ROB cannot accept the next instruction
+     * and its oldest one is still outstanding. The one test behind
+     * retire's stall accounting, the idle-skip bound and the skipped
+     * cycles' bulk accounting.
+     */
+    bool fullWindowStall() const;
+
     // --- PRE (runahead) ---
     void maybeEnterRunahead(const DynInst *head);
+    /**
+     * PRE entry disqualifiers that hold for a whole stall: no
+     * reliable frontier to run ahead from, or the stalling @p head's
+     * miss has no pending completion. Not const: it may materialize
+     * the frontier record, exactly as entry itself would.
+     */
+    bool runaheadDisqualified(const DynInst *head);
     void runaheadStep(unsigned &budget);
     void exitRunahead();
     /** Runahead taint through @p uop: its result is unavailable when
@@ -357,9 +372,14 @@ class Core
     Cycle nextEventCycle();
     void bulkAccountSkippedCycles(std::uint64_t n);
 
-    // --- Snapshot helpers (core_snapshot.cc) ---
-    std::uint32_t encInst(const DynInst *inst) const;
-    DynInst *decInst(std::uint32_t idx);
+    // --- Snapshot (core_snapshot.cc) ---
+    /** The core's field list, shared by saveState/restoreState. */
+    template <class Self, class Ar>
+    static void snapFields(Self &self, Ar &ar);
+    /** The DynInst-pointer primitive: a pool handle on the wire. */
+    static void snapInst(const Core &self, SnapWriter &w,
+                         const DynInst *inst);
+    static void snapInst(Core &self, SnapReader &r, DynInst *&inst);
 
     // ------------------------------------------------------------------
     SIM_SNAPSHOT_FIELDS(124);

@@ -501,15 +501,8 @@ Core::retireStage()
     if ((retiredInstrs_ & 0xFFF) == 0 && retiredInstrs_ > 0)
         oracle_.releaseBelow(nextRetireTs_);
 
-    // Full-window-stall classification: the window is stalled when
-    // the ROB cannot accept new instructions and the oldest
-    // instruction is an outstanding load miss.
-    DynInst *h = rob_.head();
-    const bool robFull =
-        rob_.occupancy() >= config_.robSize ||
-        (!rob_.canInsert(false) && !frontQ_.empty() &&
-         frontQ_.front()->readyAtRename <= now_);
-    if (robFull && h && h->state != InstState::Completed) {
+    // Full-window-stall classification.
+    if (fullWindowStall()) {
         ++fullWindowStallCycles_;
         if (config_.observeCriticality) {
             std::uint64_t crit = 0;
@@ -527,6 +520,7 @@ Core::retireStage()
                                       static_cast<double>(total));
             }
         }
+        const DynInst *h = rob_.head();
         if (config_.mode == CoreMode::Pre && h->isLoad() &&
             h->llcMiss) {
             maybeEnterRunahead(h);
@@ -534,6 +528,17 @@ Core::retireStage()
     } else {
         stallCounting_ = false;
     }
+}
+
+bool
+Core::fullWindowStall() const
+{
+    const DynInst *h = rob_.head();
+    const bool robFull =
+        rob_.occupancy() >= config_.robSize ||
+        (!rob_.canInsert(false) && !frontQ_.empty() &&
+         frontQ_.front()->readyAtRename <= now_);
+    return robFull && h && h->state != InstState::Completed;
 }
 
 void

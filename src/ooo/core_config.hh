@@ -51,6 +51,19 @@ struct CdfKnobs
     double densitySwitchHigh = 0.30;
     /** Cycles to wait after a CDF exit before re-entering. */
     unsigned reentryCooldown = 64;
+
+    /** Warmup-key field list (sim/snapshot.cc). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.markCriticalBranches, c.loadTable, c.branchTable,
+              c.fillBuffer, c.maskCache, c.uopCache, c.partition,
+              c.dbqEntries, c.cmqEntries, c.densitySwitchLow,
+              c.densitySwitchHigh, c.reentryCooldown);
+    }
+
+    SIM_SNAPSHOT_FIELDS(12);
 };
 
 /** Precise Runahead knobs (Section 4.1 methodology). */
@@ -74,6 +87,18 @@ struct PreKnobs
     unsigned minStallCyclesToEnter = 4;  //!< hysteresis before runahead
     unsigned bbScanLimit = 48; //!< fwd scan to align on a cached block
     unsigned maxChainLoadsPerEpisode = 32;
+
+    /** Warmup-key field list (sim/snapshot.cc). */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.stallTable, c.fillBuffer, c.maskCache, c.uopCache,
+              c.minStallCyclesToEnter, c.bbScanLimit,
+              c.maxChainLoadsPerEpisode);
+    }
+
+    SIM_SNAPSHOT_FIELDS(7);
 };
 
 /** The core proper (Table 1 baseline). */
@@ -144,6 +169,28 @@ struct CoreConfig
         sqSize = scale(sqSize);
         physRegs = scale(physRegs);
     }
+
+    /**
+     * Warmup-key field list (sim/snapshot.cc): every field that can
+     * influence warmup state, in declaration order. skipIdleCycles
+     * and profileStages are host-only knobs whose setting is proven
+     * not to change any architectural state (test_skip /
+     * test_stat_gate), so they are counted but not listed: a
+     * profiled run reuses an unprofiled run's checkpoint.
+     */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &c, Ar &ar)
+    {
+        ar.io(c.mode, c.width, c.issueWidth, c.robSize, c.rsSize, c.lqSize,
+              c.sqSize, c.physRegs, c.frontendDepth, c.fetchQueueSize,
+              c.mispredictRedirect, c.btbMissPenalty,
+              c.maxLoadsPerCycle, c.maxStoresPerCycle,
+              c.observeCriticality, c.cdf, c.pre, c.mem, c.bp,
+              c.deadlockCycles);
+    }
+
+    SIM_SNAPSHOT_FIELDS(22);
 };
 
 } // namespace cdfsim::ooo

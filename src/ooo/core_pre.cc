@@ -41,6 +41,17 @@ garbageAddr(Addr pc, std::uint64_t salt)
 
 } // namespace
 
+bool
+Core::runaheadDisqualified(const DynInst *head)
+{
+    return wrongPath_ || nextFetchTs_ == 0 ||
+           head->completionCycle == kNeverCycle ||
+           head->completionCycle <= now_ ||
+           !oracle_.hasRecord(nextFetchTs_ - 1) ||
+           !oracle_.program().validPc(
+               oracle_.at(nextFetchTs_ - 1).nextPc);
+}
+
 void
 Core::maybeEnterRunahead(const DynInst *head)
 {
@@ -55,20 +66,12 @@ Core::maybeEnterRunahead(const DynInst *head)
         stallTable_->update(head->pc, true);
     }
 
-    if (now_ - stallStartCycle_ < config_.pre.minStallCyclesToEnter)
-        return;
-    if (wrongPath_ || nextFetchTs_ == 0)
-        return; // no reliable frontier to run ahead from
-    if (head->completionCycle == kNeverCycle ||
-        head->completionCycle <= now_)
+    if (now_ - stallStartCycle_ < config_.pre.minStallCyclesToEnter ||
+        runaheadDisqualified(head))
         return;
 
     // Start runahead at the next un-fetched instruction.
-    if (!oracle_.hasRecord(nextFetchTs_ - 1))
-        return;
     const Addr startPc = oracle_.at(nextFetchTs_ - 1).nextPc;
-    if (!oracle_.program().validPc(startPc))
-        return;
 
     raActive_ = true;
     ++statRunaheadEpisodes_;

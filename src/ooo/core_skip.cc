@@ -276,24 +276,11 @@ Core::nextEventCycle()
     // either a frozen disqualifier keeps it out for the whole window
     // or the minimum-stall threshold passes — in which case entry
     // must happen on exactly that cycle.
-    const bool robFull =
-        rob_.occupancy() >= config_.robSize ||
-        (!rob_.canInsert(false) && !frontQ_.empty() &&
-         frontQ_.front()->readyAtRename <= now_);
-    const bool stallNow =
-        robFull && h && h->state != InstState::Completed;
-    if (stallNow && config_.mode == CoreMode::Pre && h->isLoad() &&
-        h->llcMiss) {
+    if (fullWindowStall() && config_.mode == CoreMode::Pre &&
+        h->isLoad() && h->llcMiss) {
         if (!stallCounting_)
             return tickNext; // first stalled cycle: side effects
-        const bool disqualified =
-            wrongPath_ || nextFetchTs_ == 0 ||
-            h->completionCycle == kNeverCycle ||
-            h->completionCycle <= now_ ||
-            !oracle_.hasRecord(nextFetchTs_ - 1) ||
-            !oracle_.program().validPc(
-                oracle_.at(nextFetchTs_ - 1).nextPc);
-        if (!disqualified) {
+        if (!runaheadDisqualified(h)) {
             bound = std::min(bound,
                              stallStartCycle_ +
                                  config_.pre.minStallCyclesToEnter);
@@ -333,12 +320,7 @@ Core::bulkAccountSkippedCycles(std::uint64_t n)
     // retireStage tail: full-window-stall classification. All inputs
     // are frozen (readyAtRename's comparison against the advancing
     // clock is window-constant because the jump is bounded by it).
-    const DynInst *h = rob_.head();
-    const bool robFull =
-        rob_.occupancy() >= config_.robSize ||
-        (!rob_.canInsert(false) && !frontQ_.empty() &&
-         frontQ_.front()->readyAtRename <= now_);
-    if (robFull && h && h->state != InstState::Completed)
+    if (fullWindowStall())
         fullWindowStallCycles_ += n;
     else
         stallCounting_ = false;

@@ -45,18 +45,11 @@ struct BranchState
     bp::BpCheckpoint ckpt;
     bp::TagePredictionInfo tageInfo;
 
-    void
-    save(SnapWriter &w) const
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &b, Ar &ar)
     {
-        bp::save(w, ckpt);
-        bp::save(w, tageInfo);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        bp::restore(r, ckpt);
-        bp::restore(r, tageInfo);
+        ar.io(b.ckpt, b.tageInfo);
     }
 
     SIM_SNAPSHOT_FIELDS(2);
@@ -137,94 +130,22 @@ struct DynInst
     /** 8-byte-aligned word address for disambiguation. */
     Addr memWord() const { return memAddr >> 3; }
 
-    /** Snapshot every field verbatim (field order above), so a
-     *  restored record re-snapshots byte-identically. */
-    void
-    save(SnapWriter &w) const
+    /** Field list: every field verbatim, in declaration order, so
+     *  a restored record re-snapshots byte-identically. */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &d, Ar &ar)
     {
-        w.u64(ts);
-        w.u64(rsNextTry);
-        isa::save(w, uop);
-        w.u16(physSrc1);
-        w.u16(physSrc2);
-        w.u8(static_cast<std::uint8_t>(state));
-        w.b(critical);
-        w.b(onPath);
-        w.b(cdfFetched);
-        w.b(criticalStream);
-        w.u64(fetchSeq);
-        w.u64(pc);
-        w.u64(memAddr);
-        w.u64(actualTarget);
-        w.u64(predTarget);
-        w.b(taken);
-        w.b(predTaken);
-        w.b(mispredicted);
-        w.b(btbMissBubble);
-        w.u16(physDst);
-        w.u16(oldPhysDst);
-        w.u16(oldPhysDstCrit);
-        w.b(renamedRegular);
-        w.b(renamedCritical);
-        w.b(hasPoisonSnapshot);
-        w.u64(poisonSnapshot);
-        w.u64(fetchCycle);
-        w.u64(renameCycle);
-        w.u64(readyAtRename);
-        w.u64(completionCycle);
-        w.u64(forwardSrcTs);
-        w.b(llcMiss);
-        w.b(l1Miss);
-        w.b(addrKnown);
-        w.b(doomed);
-        w.u32(branchState);
-        w.u32(poolIdx);
-        w.u32(prevIdx);
-        w.u32(nextIdx);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        ts = r.u64();
-        rsNextTry = r.u64();
-        isa::restore(r, uop);
-        physSrc1 = r.u16();
-        physSrc2 = r.u16();
-        state = static_cast<InstState>(r.u8());
-        critical = r.b();
-        onPath = r.b();
-        cdfFetched = r.b();
-        criticalStream = r.b();
-        fetchSeq = r.u64();
-        pc = r.u64();
-        memAddr = r.u64();
-        actualTarget = r.u64();
-        predTarget = r.u64();
-        taken = r.b();
-        predTaken = r.b();
-        mispredicted = r.b();
-        btbMissBubble = r.b();
-        physDst = r.u16();
-        oldPhysDst = r.u16();
-        oldPhysDstCrit = r.u16();
-        renamedRegular = r.b();
-        renamedCritical = r.b();
-        hasPoisonSnapshot = r.b();
-        poisonSnapshot = r.u64();
-        fetchCycle = r.u64();
-        renameCycle = r.u64();
-        readyAtRename = r.u64();
-        completionCycle = r.u64();
-        forwardSrcTs = r.u64();
-        llcMiss = r.b();
-        l1Miss = r.b();
-        addrKnown = r.b();
-        doomed = r.b();
-        branchState = r.u32();
-        poolIdx = r.u32();
-        prevIdx = r.u32();
-        nextIdx = r.u32();
+        ar.io(d.ts, d.rsNextTry, d.uop, d.physSrc1, d.physSrc2, d.state,
+              d.critical, d.onPath, d.cdfFetched, d.criticalStream,
+              d.fetchSeq, d.pc, d.memAddr, d.actualTarget, d.predTarget,
+              d.taken, d.predTaken, d.mispredicted, d.btbMissBubble,
+              d.physDst, d.oldPhysDst, d.oldPhysDstCrit, d.renamedRegular,
+              d.renamedCritical, d.hasPoisonSnapshot, d.poisonSnapshot,
+              d.fetchCycle, d.renameCycle, d.readyAtRename,
+              d.completionCycle, d.forwardSrcTs, d.llcMiss, d.l1Miss,
+              d.addrKnown, d.doomed, d.branchState, d.poolIdx, d.prevIdx,
+              d.nextIdx);
     }
 
     SIM_SNAPSHOT_FIELDS(39);

@@ -88,30 +88,17 @@ class PhysRegFile
     /** Free-list view for the rename-map audit walk. */
     const std::vector<RegId> &freeRegs() const { return freeList_; }
 
-    /** Snapshot ready times and the free list verbatim (allocation
+    /** Field list: ready times and the free list verbatim (allocation
      *  order is architectural: it decides future mappings). */
-    void
-    save(SnapWriter &w) const
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        w.u32(static_cast<std::uint32_t>(readyAt_.size()));
-        for (Cycle c : readyAt_)
-            w.u64(c);
-        w.u32(static_cast<std::uint32_t>(freeList_.size()));
-        for (RegId p : freeList_)
-            w.u16(p);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        const std::uint32_t n = r.u32();
-        SIM_ASSERT(n == readyAt_.size(),
-                   "snapshot phys reg count differs from this core's");
-        for (Cycle &c : readyAt_)
-            c = r.u64();
-        freeList_.resize(r.u32());
-        for (RegId &p : freeList_)
-            p = r.u16();
+        ar.echo(static_cast<std::uint32_t>(self.readyAt_.size()),
+                "phys reg count");
+        for (auto &c : self.readyAt_)
+            ar.io(c);
+        ar.seq32(self.freeList_);
     }
 
   private:
@@ -215,21 +202,12 @@ class RenameMap
                (uop.src2 != kInvalidReg && poison_[uop.src2]);
     }
 
-    /** Snapshot the mapping table and the poison bits. */
-    void
-    save(SnapWriter &w) const
+    /** Field list: the mapping table and the poison bits. */
+    template <class Self, class Ar>
+    static void
+    snapFields(Self &self, Ar &ar)
     {
-        for (RegId p : table_)
-            w.u16(p);
-        w.u64(poisonBits());
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        for (RegId &p : table_)
-            p = r.u16();
-        setPoisonBits(r.u64());
+        ar.io(self.table_, self.poison_);
     }
 
   private:

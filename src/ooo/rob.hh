@@ -153,32 +153,15 @@ class Rob
         }
     }
 
-    /** Snapshot both sections as pool handles via @p enc
-     *  (DynInst* -> u32); capacity is config-fixed and excluded. */
-    template <typename EncFn>
-    void
-    save(SnapWriter &w, EncFn &&enc) const
+    /** Field list: both sections, each instruction coded by @p each
+     *  (a pool handle); capacity is config-fixed and excluded. */
+    template <class Self, class Ar, class Each>
+    static void
+    snapFields(Self &self, Ar &ar, Each each)
     {
-        w.u32(critCap_);
-        w.u32(static_cast<std::uint32_t>(crit_.size()));
-        for (const DynInst *inst : crit_)
-            w.u32(enc(inst));
-        w.u32(static_cast<std::uint32_t>(nonCrit_.size()));
-        for (const DynInst *inst : nonCrit_)
-            w.u32(enc(inst));
-    }
-
-    template <typename DecFn>
-    void
-    restore(SnapReader &r, DecFn &&dec)
-    {
-        critCap_ = r.u32();
-        crit_.clear();
-        nonCrit_.clear();
-        for (std::uint32_t n = r.u32(); n-- > 0;)
-            crit_.push_back(dec(r.u32()));
-        for (std::uint32_t n = r.u32(); n-- > 0;)
-            nonCrit_.push_back(dec(r.u32()));
+        ar.io(self.critCap_);
+        ar.seq32(self.crit_, each);
+        ar.seq32(self.nonCrit_, each);
     }
 
   private:

@@ -167,33 +167,16 @@ class ReservationStations
         reg_.clear();
     }
 
-    /** Snapshot both classes as pool handles via @p enc
-     *  (DynInst* -> u32). The issue scratch vector is transient
+    /** Field list: both classes, each instruction coded by @p each
+     *  (a pool handle). The issue scratch vector is transient
      *  (cleared at the top of every selectAndIssue) and excluded. */
-    template <typename EncFn>
-    void
-    save(SnapWriter &w, EncFn &&enc) const
+    template <class Self, class Ar, class Each>
+    static void
+    snapFields(Self &self, Ar &ar, Each each)
     {
-        w.u32(critCap_);
-        w.u32(static_cast<std::uint32_t>(crit_.size()));
-        for (const DynInst *inst : crit_)
-            w.u32(enc(inst));
-        w.u32(static_cast<std::uint32_t>(reg_.size()));
-        for (const DynInst *inst : reg_)
-            w.u32(enc(inst));
-    }
-
-    template <typename DecFn>
-    void
-    restore(SnapReader &r, DecFn &&dec)
-    {
-        critCap_ = r.u32();
-        crit_.clear();
-        reg_.clear();
-        for (std::uint32_t n = r.u32(); n-- > 0;)
-            crit_.push_back(dec(r.u32()));
-        for (std::uint32_t n = r.u32(); n-- > 0;)
-            reg_.push_back(dec(r.u32()));
+        ar.io(self.critCap_);
+        ar.seq32(self.crit_, each);
+        ar.seq32(self.reg_, each);
     }
 
   private:

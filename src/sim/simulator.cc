@@ -1,6 +1,9 @@
 #include "sim/simulator.hh"
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -109,13 +112,10 @@ Simulator::saveState(SnapWriter &w) const
     // Stats first: every counter by name, so a restored registry has
     // exactly the key set of the warmed one (counters created lazily
     // during warmup included — a fresh same-config registry might
-    // not have allocated them yet).
-    const auto &counters = stats_.all();
-    w.u64(counters.size());
-    for (const auto &[name, value] : counters) {
-        w.str(name);
-        w.u64(value);
-    }
+    // not have allocated them yet). An explicit pair, not a field
+    // list: restore merges the counters into the live registry by
+    // name and overlays the memory delta on the pristine image.
+    w.seq64(stats_.all());
     memory_.saveDelta(w, *pristine_);
     core_->saveState(w);
 }
@@ -123,11 +123,11 @@ Simulator::saveState(SnapWriter &w) const
 void
 Simulator::restoreState(SnapReader &r)
 {
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    r.seq64(counters);
     stats_.resetAll();
-    for (std::uint64_t n = r.u64(); n-- > 0;) {
-        const std::string name = r.str();
-        stats_.counter(name) = r.u64();
-    }
+    for (const auto &[name, value] : counters)
+        stats_.counter(name) = value;
     memory_.restoreDelta(r, *pristine_);
     core_->restoreState(r);
 }

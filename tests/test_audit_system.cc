@@ -7,7 +7,8 @@
  * (Core::auditBranchStates), its fetch frontend
  * (Core::auditFrontend), the memory hierarchy's LLC probe memo
  * (MemHierarchy::auditProbeCache), and the CDF side tables
- * (CriticalCountTable::auditInvariants, MaskCache::auditInvariants).
+ * (CriticalCountTable::auditInvariants, MaskCache::auditInvariants,
+ * FillBuffer::auditInvariants).
  *
  * Unlike tests/test_audit.cc — which covers the header-only audited
  * containers and deliberately links only cdfsim_common — these walks
@@ -28,6 +29,7 @@
 #include <utility>
 
 #include "cdf/critical_table.hh"
+#include "cdf/fill_buffer.hh"
 #include "cdf/mask_cache.hh"
 #include "common/audit.hh"
 #include "common/circular_queue.hh"
@@ -273,6 +275,44 @@ struct AuditPeer
             return true;
         }
         return false;
+    }
+
+    // --- CDF Fill Buffer --------------------------------------------
+
+    static cdf::FillBuffer *
+    fillBuffer(ooo::Core &c)
+    {
+        return c.fillBuffer_.get();
+    }
+
+    /** Fill the collection window to capacity without walking it. */
+    static bool
+    overfillFillBuffer(cdf::FillBuffer &fb)
+    {
+        if (!fb.collecting_ || fb.entries_.empty())
+            return false;
+        fb.entries_.resize(fb.config_.capacity, fb.entries_.back());
+        return true;
+    }
+
+    /** Make the window begin mid-block: clear its first uop's
+     *  block-start mark. */
+    static bool
+    unmarkFillBufferBlockStart(cdf::FillBuffer &fb)
+    {
+        if (fb.entries_.empty())
+            return false;
+        fb.entries_.front().startsBasicBlock = false;
+        return true;
+    }
+
+    /** Leave the mask shift register live with the Mask Cache off. */
+    static bool
+    liveMaskWithMaskCacheOff(cdf::FillBuffer &fb)
+    {
+        fb.config_.useMaskCache = false;
+        fb.activeMaskValid_ = true;
+        return true;
     }
 
     // --- Core: LSQ/ROB age ordering ---------------------------------
@@ -555,6 +595,25 @@ auditFrontendEachCycle(cdfsim::ooo::Core &c, cdfsim::Cycle cycles,
         hits += inState(c);
     }
     return hits;
+}
+
+/**
+ * Step @p c 100 cycles at a time until its Fill Buffer is part-way
+ * through a collection window. Bounded at 30k cycles, short of where
+ * an Audit build's sampled rename walk trips the known critical-RAT
+ * aliasing (ROADMAP item 1); the first window opens at the first
+ * retire, far earlier.
+ */
+bool
+driveIntoFillWindow(cdfsim::ooo::Core &c)
+{
+    const cdfsim::cdf::FillBuffer *fb = AuditPeer::fillBuffer(c);
+    while (!(fb->collecting() && fb->size() > 0)) {
+        if (c.cycle() >= 30'000 || c.halted())
+            return false;
+        c.run(~std::uint64_t{0}, c.cycle() + 100);
+    }
+    return true;
 }
 
 /**
@@ -929,6 +988,53 @@ TEST_F(AuditSystemCdf, MaskCacheFiresOnLruAheadOfClock)
                 *AuditPeer::maskCache(c));
         },
         [](auto &c) { AuditPeer::maskCache(c)->auditInvariants(); });
+}
+
+TEST_F(AuditSystemCdf, FillBufferSilentOnDrivenCore)
+{
+    // Walked every 500 cycles for 30k cycles: the bound of
+    // driveIntoFillWindow(), short of the known critical-RAT trip.
+    auto &c = core();
+    cdfsim::cdf::FillBuffer *fb = AuditPeer::fillBuffer(c);
+    ASSERT_NE(fb, nullptr);
+    int inWindow = 0;
+    while (c.cycle() < 30'000 && !c.halted()) {
+        c.run(~std::uint64_t{0}, c.cycle() + 500);
+        ASSERT_NO_THROW(fb->auditInvariants()) << "cycle " << c.cycle();
+        inWindow += fb->size() > 0;
+    }
+    EXPECT_GT(inWindow, 0) << "never stopped inside a collection window";
+}
+
+TEST_F(AuditSystemCdf, FillBufferFiresOnOverfilledWindow)
+{
+    expectFires(
+        [](auto &c) {
+            return driveIntoFillWindow(c) &&
+                   AuditPeer::overfillFillBuffer(*AuditPeer::fillBuffer(c));
+        },
+        [](auto &c) { AuditPeer::fillBuffer(c)->auditInvariants(); });
+}
+
+TEST_F(AuditSystemCdf, FillBufferFiresOnMidBlockWindowStart)
+{
+    expectFires(
+        [](auto &c) {
+            return driveIntoFillWindow(c) &&
+                   AuditPeer::unmarkFillBufferBlockStart(
+                       *AuditPeer::fillBuffer(c));
+        },
+        [](auto &c) { AuditPeer::fillBuffer(c)->auditInvariants(); });
+}
+
+TEST_F(AuditSystemCdf, FillBufferFiresOnLiveMaskWithMaskCacheOff)
+{
+    expectFires(
+        [](auto &c) {
+            return AuditPeer::liveMaskWithMaskCacheOff(
+                *AuditPeer::fillBuffer(c));
+        },
+        [](auto &c) { AuditPeer::fillBuffer(c)->auditInvariants(); });
 }
 
 TEST_F(AuditSystemCdf, CritRatFiresOnDuplicateMapping)

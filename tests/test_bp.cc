@@ -320,13 +320,13 @@ TEST(Predictor, CheckpointCodecRoundTripsByteIdentically)
     ASSERT_EQ(ckpt.ras.size, kMaxRasDepth);
 
     SnapWriter w;
-    save(w, ckpt);
+    w.io(ckpt);
     BpCheckpoint back;
     SnapReader r(w.bytes());
-    restore(r, back);
+    r.io(back);
     EXPECT_TRUE(r.done());
     SnapWriter again;
-    save(again, back);
+    again.io(back);
     EXPECT_EQ(w.bytes(), again.bytes());
 
     // The decoded copy rewinds the predictor exactly as the original.
@@ -335,7 +335,7 @@ TEST(Predictor, CheckpointCodecRoundTripsByteIdentically)
         bp.predict(91, br);
         bp.restore(c);
         SnapWriter sw;
-        bp.save(sw);
+        sw.io(bp);
         return sw.take();
     };
     EXPECT_EQ(stateAfterRestore(ckpt), stateAfterRestore(back));

@@ -16,6 +16,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "sim/snapshot.hh"
 #include "sim/sweep.hh"
@@ -334,6 +337,67 @@ TEST(SnapshotKey, DistinguishesWarmupRelevantChanges)
     sim::RunSpec otherMeasure = spec;
     otherMeasure.measureInstrs = 123'456;
     EXPECT_EQ(k, sim::warmupKey("astar", base, otherMeasure));
+}
+
+TEST(SnapshotKey, EveryConfigStructFeedsTheKey)
+{
+    // One perturbation per config struct, each on the LAST field of
+    // that struct's field list, so a list cut short (or a struct
+    // dropped from its parent's list) shows up as a shared key.
+    sim::RunSpec spec;
+    spec.warmupInstrs = 5'000;
+    const ooo::CoreConfig base = configFor(ooo::CoreMode::Cdf);
+    const std::uint64_t k = sim::warmupKey("astar", base, spec);
+
+    using Perturb = void (*)(ooo::CoreConfig &);
+    const std::vector<std::pair<const char *, Perturb>> perturbs = {
+        {"CoreConfig", [](ooo::CoreConfig &c) { c.deadlockCycles += 1; }},
+        {"CdfKnobs", [](ooo::CoreConfig &c) { c.cdf.reentryCooldown += 1; }},
+        {"PreKnobs",
+         [](ooo::CoreConfig &c) { c.pre.maxChainLoadsPerEpisode += 1; }},
+        {"CriticalTableConfig",
+         [](ooo::CoreConfig &c) { c.cdf.loadTable.hitDec += 1; }},
+        {"FillBufferConfig",
+         [](ooo::CoreConfig &c) {
+             c.cdf.fillBuffer.useMaskCache = !c.cdf.fillBuffer.useMaskCache;
+         }},
+        {"MaskCacheConfig",
+         [](ooo::CoreConfig &c) {
+             c.cdf.maskCache.resetIntervalInstrs += 1;
+         }},
+        {"UopCacheConfig",
+         [](ooo::CoreConfig &c) { c.cdf.uopCache.fillLatency += 1; }},
+        {"PartitionConfig",
+         [](ooo::CoreConfig &c) {
+             c.cdf.partition.initialCriticalFrac += 0.01;
+         }},
+        {"CacheConfig", [](ooo::CoreConfig &c) { c.mem.llc.mshrs += 1; }},
+        {"DramConfig",
+         [](ooo::CoreConfig &c) { c.mem.dram.controllerLatency += 1; }},
+        {"PrefetcherConfig",
+         [](ooo::CoreConfig &c) { c.mem.prefetcher.highAccuracy += 0.01; }},
+        {"HierarchyConfig",
+         [](ooo::CoreConfig &c) {
+             c.mem.prefetcherEnabled = !c.mem.prefetcherEnabled;
+         }},
+        {"TageConfig", [](ooo::CoreConfig &c) { c.bp.tage.scThreshold += 1; }},
+        {"PredictorConfig", [](ooo::CoreConfig &c) { c.bp.rasDepth -= 1; }},
+    };
+    std::set<std::uint64_t> keys{k};
+    for (const auto &[name, perturb] : perturbs) {
+        ooo::CoreConfig changed = base;
+        perturb(changed);
+        EXPECT_TRUE(keys.insert(sim::warmupKey("astar", changed, spec))
+                        .second)
+            << name << " perturbation did not get a key of its own";
+    }
+
+    // The two host-only knobs are counted but not listed: flipping
+    // them must keep sharing the checkpoint.
+    ooo::CoreConfig host = base;
+    host.skipIdleCycles = !host.skipIdleCycles;
+    host.profileStages = !host.profileStages;
+    EXPECT_EQ(k, sim::warmupKey("astar", host, spec));
 }
 
 TEST(SweepMemoization, SharedWarmupsAreBitIdenticalAndCounted)

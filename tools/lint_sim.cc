@@ -32,12 +32,12 @@
  *    claims by maintaining invariants; a mutator with no check is a
  *    convention violation.
  *
- *  - snapshot-fields: a class declaring a save*() member whose
- *    SIM_SNAPSHOT_FIELDS(N) annotation is missing or disagrees with
- *    the number of data members declared in its body. The count is
- *    the tripwire that forces every new member through a
- *    save/restore review; a stale count means a member was added
- *    without one.
+ *  - snapshot-fields: a class declaring a snapFields() field list
+ *    (or an explicit save*() member) whose SIM_SNAPSHOT_FIELDS(N)
+ *    annotation is missing or disagrees with the number of data
+ *    members declared in its body. The count is the tripwire that
+ *    forces every new member through a field-list review; a stale
+ *    count means a member was added without one.
  *
  * Vetted exceptions live in an allowlist file (one per line:
  * "<rule> <path-suffix>", '#' comments). It is empty by default and
@@ -500,12 +500,14 @@ lintMutatorAsserts(const std::string &path, const std::string &code,
 // ---------------------------------------------------------------------
 
 /**
- * A class or struct that declares a save*() member participates in
- * the snapshot system, so it must carry a SIM_SNAPSHOT_FIELDS(N)
- * annotation with N equal to the number of data members declared
- * directly in its body — host-only members included, because the
- * annotation exists to force every new member through a save/restore
- * review (serialize it, or document why not). Nested types, static
+ * A class or struct that declares a snapFields() field list — or,
+ * for the few types whose restore does more than read back, an
+ * explicit save*() member — participates in the snapshot system, so
+ * it must carry a SIM_SNAPSHOT_FIELDS(N) annotation with N equal to
+ * the number of data members declared directly in its body —
+ * host-only members included, because the annotation exists to
+ * force every new member through a field-list review (list it, or
+ * document why not). Nested types, static
  * members, using/typedef aliases and friends do not count.
  */
 void
@@ -554,7 +556,7 @@ lintSnapshotFields(const std::string &path, const std::string &code,
             bool funcMarker = false; //!< decl is a function
             bool sawInit = false;    //!< '=' seen before any '('
             std::string funcName;
-            bool hasSave = false;
+            bool hasFieldList = false;
             unsigned fields = 0;
             long annot = -1;
             std::size_t annotAt = kwAt;
@@ -599,8 +601,9 @@ lintSnapshotFields(const std::string &path, const std::string &code,
                         annot = std::atol(d.c_str() + p + 1);
                     annotAt = at;
                 } else if (funcMarker) {
-                    if (funcName.rfind("save", 0) == 0)
-                        hasSave = true;
+                    if (funcName == "snapFields" ||
+                        funcName.rfind("save", 0) == 0)
+                        hasFieldList = true;
                 } else if (!w2.empty() && w1 != "using" &&
                            w1 != "typedef" && w1 != "friend" &&
                            w1 != "static" && w1 != "struct" &&
@@ -666,14 +669,14 @@ lintSnapshotFields(const std::string &path, const std::string &code,
                 }
             }
 
-            if (!hasSave)
+            if (!hasFieldList)
                 continue;
             if (annot < 0) {
                 findings.push_back(
                     {path, lineOfOffset(code, kwAt),
                      "snapshot-fields",
                      "'" + name +
-                         "' declares a save*() member but no "
+                         "' declares a snapshot field list but no "
                          "SIM_SNAPSHOT_FIELDS annotation (it has " +
                          std::to_string(fields) +
                          " data member(s))"});
@@ -684,8 +687,8 @@ lintSnapshotFields(const std::string &path, const std::string &code,
                      "'" + name + "' annotates SIM_SNAPSHOT_FIELDS(" +
                          std::to_string(annot) + ") but declares " +
                          std::to_string(fields) +
-                         " data member(s); re-review the save/"
-                         "restore codecs and update the count"});
+                         " data member(s); re-review its field list "
+                         "and update the count"});
             }
         }
     }
