@@ -61,7 +61,7 @@ class Btb
     snapFields(Self &self, Ar &ar)
     {
         for (auto &e : self.entries_)
-            ar.io(e.valid, e.tag, e.target);
+            ar.io(e);
     }
 
   private:
@@ -70,6 +70,15 @@ class Btb
         bool valid = false;
         Addr tag = 0;
         Addr target = 0;
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &e, Ar &ar)
+        {
+            ar.io(e.valid, e.tag, e.target);
+        }
+
+        SIM_SNAPSHOT_FIELDS(3);
     };
 
     SIM_SNAPSHOT_FIELDS(3);

@@ -432,19 +432,15 @@ Tage::snapFields(Self &self, Ar &ar)
     // the same config, so only mutable state is serialized.
     for (auto &table : self.tables_) {
         for (auto &e : table)
-            ar.io(e.tag, e.ctr, e.useful);
+            ar.io(e);
     }
     for (auto &b : self.bimodal_)
         ar.io(b);
-    for (auto &e : self.loops_) {
-        ar.io(e.valid, e.tag, e.tripCount, e.currentIter, e.specIter,
-              e.confidence);
-    }
+    for (auto &e : self.loops_)
+        ar.io(e);
     for (auto &c : self.scTable_)
         ar.io(c);
-    ar.io(self.history_, self.pathHistory_, self.allocTick_);
-    for (auto &f : self.folds_)
-        ar.io(f.full, f.partial, f.length, f.bits, f.nFull, f.rem);
+    ar.io(self.history_, self.pathHistory_, self.allocTick_, self.folds_);
 }
 
 template void Tage::snapFields(const Tage &, SnapWriter &);

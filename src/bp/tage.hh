@@ -178,6 +178,15 @@ class Tage
         std::uint16_t tag = 0;
         std::int8_t ctr = 0;       //!< signed: >=0 predicts taken
         std::uint8_t useful = 0;
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &e, Ar &ar)
+        {
+            ar.io(e.tag, e.ctr, e.useful);
+        }
+
+        SIM_SNAPSHOT_FIELDS(3);
     };
 
     struct LoopEntry
@@ -188,6 +197,16 @@ class Tage
         std::uint16_t currentIter = 0;  //!< architectural (at update)
         std::uint16_t specIter = 0;     //!< speculative (at predict)
         std::uint8_t confidence = 0;
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &e, Ar &ar)
+        {
+            ar.io(e.valid, e.tag, e.tripCount, e.currentIter, e.specIter,
+                  e.confidence);
+        }
+
+        SIM_SNAPSHOT_FIELDS(6);
     };
 
     /**
@@ -210,6 +229,15 @@ class Tage
         std::uint64_t value() const { return full ^ partial; }
         /** Shift in @p newest given the history BEFORE the shift. */
         void shiftIn(const History &old, bool newest);
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &f, Ar &ar)
+        {
+            ar.io(f.full, f.partial, f.length, f.bits, f.nFull, f.rem);
+        }
+
+        SIM_SNAPSHOT_FIELDS(6);
     };
 
     unsigned tableIndex(Addr pc, unsigned table) const;

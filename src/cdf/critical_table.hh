@@ -97,7 +97,7 @@ class CriticalCountTable
     snapFields(Self &self, Ar &ar)
     {
         for (auto &e : self.entries_)
-            ar.io(e.valid, e.tag, e.strict, e.permissive, e.lruTick);
+            ar.io(e);
         ar.io(self.tick_, self.mode_);
     }
 
@@ -109,6 +109,15 @@ class CriticalCountTable
         SatCounter strict{4};
         SatCounter permissive{2};
         std::uint64_t lruTick = 0;
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &e, Ar &ar)
+        {
+            ar.io(e.valid, e.tag, e.strict, e.permissive, e.lruTick);
+        }
+
+        SIM_SNAPSHOT_FIELDS(5);
     };
 
     std::size_t setOf(Addr pc) const { return pc % sets_; }

@@ -117,10 +117,7 @@ class FillBuffer
     static void
     snapFields(Self &self, Ar &ar)
     {
-        ar.seq32(self.entries_, [](auto &a, auto &e) {
-            a.io(e.pc, e.uop, e.memWordAddr, e.critical,
-                 e.startsBasicBlock);
-        });
+        ar.seq32(self.entries_);
         ar.io(self.collecting_, self.collectionStart_, self.activeMask_,
               self.activeMaskOffset_, self.activeMaskValid_);
     }
@@ -140,6 +137,15 @@ class FillBuffer
         Addr memWordAddr = 0;
         bool critical = false;
         bool startsBasicBlock = false;
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &e, Ar &ar)
+        {
+            ar.io(e.pc, e.uop, e.memWordAddr, e.critical, e.startsBasicBlock);
+        }
+
+        SIM_SNAPSHOT_FIELDS(5);
     };
 
     WalkResult walk(Cycle now);

@@ -81,7 +81,7 @@ class MaskCache
     snapFields(Self &self, Ar &ar)
     {
         for (auto &e : self.entries_)
-            ar.io(e.valid, e.tag, e.mask, e.lruTick);
+            ar.io(e);
         ar.io(self.tick_, self.lastReset_);
     }
 
@@ -92,6 +92,15 @@ class MaskCache
         Addr tag = 0;
         std::uint64_t mask = 0;
         std::uint64_t lruTick = 0;
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &e, Ar &ar)
+        {
+            ar.io(e.valid, e.tag, e.mask, e.lruTick);
+        }
+
+        SIM_SNAPSHOT_FIELDS(4);
     };
 
     std::size_t setOf(Addr pc) const { return pc % sets_; }

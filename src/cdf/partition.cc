@@ -30,16 +30,7 @@ SectionPartition::SectionPartition(const std::string &name,
 }
 
 void
-SectionPartition::noteStall(bool criticalSection)
-{
-    if (criticalSection)
-        ++critStalls_;
-    else
-        ++nonCritStalls_;
-}
-
-void
-SectionPartition::noteStallN(bool criticalSection, std::uint64_t n)
+SectionPartition::noteStall(bool criticalSection, std::uint64_t n)
 {
     if (criticalSection)
         critStalls_ += n;

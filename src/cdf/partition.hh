@@ -60,11 +60,8 @@ class SectionPartition
     unsigned nonCriticalCap() const { return total_ - critCap_; }
     unsigned total() const { return total_; }
 
-    /** Record one stall cycle charged to a section being full. */
-    void noteStall(bool criticalSection);
-
-    /** Bulk form of noteStall: @p n identically-charged cycles. */
-    void noteStallN(bool criticalSection, std::uint64_t n);
+    /** Record @p n stall cycles charged to a section being full. */
+    void noteStall(bool criticalSection, std::uint64_t n);
 
     /**
      * Evaluate the counters and resize if warranted. @p critOcc and
@@ -73,8 +70,8 @@ class SectionPartition
     void evaluate(unsigned critOcc, unsigned nonCritOcc);
 
     /**
-     * Idle-skip support: with one noteStall(@p chargeCrit) /
-     * noteStall-non-critical(@p chargeNonCrit) charge per cycle
+     * Idle-skip support: with one critical (@p chargeCrit) and/or
+     * non-critical (@p chargeNonCrit) noteStall charge per cycle
      * followed by one evaluate() per cycle (occupancies frozen at
      * @p critOcc / @p nonCritOcc), the number of cycles until an
      * evaluate() actually changes criticalCap(); kNeverCycle when it
@@ -90,9 +87,10 @@ class SectionPartition
                                unsigned nonCritOcc) const;
 
     /**
-     * Closed-form replay of @p n cycles of noteStall(@p chargeCrit /
-     * @p chargeNonCrit) + evaluate() with frozen occupancies,
-     * including any zero-resize counter resets inside the window.
+     * Closed-form replay of @p n cycles of noteStall charges
+     * (@p chargeCrit / @p chargeNonCrit) + evaluate() with frozen
+     * occupancies, including any zero-resize counter resets inside
+     * the window.
      * The caller must have bounded @p n by cyclesUntilCapChange();
      * a cap change inside the window panics.
      */

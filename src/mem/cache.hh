@@ -202,10 +202,8 @@ class Cache
     static void
     snapFields(Self &self, Ar &ar)
     {
-        for (auto &way : self.tags_) {
-            ar.io(way.valid, way.dirty, way.prefetched, way.lineAddr,
-                  way.lru, way.ready);
-        }
+        for (auto &way : self.tags_)
+            ar.io(way);
         ar.io(self.lruClock_, self.tagGen_, self.mshrs_);
     }
 
@@ -218,6 +216,15 @@ class Cache
         Addr lineAddr = 0;
         std::uint64_t lru = 0;     //!< larger == more recently used
         Cycle ready = 0;
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &w, Ar &ar)
+        {
+            ar.io(w.valid, w.dirty, w.prefetched, w.lineAddr, w.lru, w.ready);
+        }
+
+        SIM_SNAPSHOT_FIELDS(6);
     };
 
     const Way *findLine(Addr line) const;

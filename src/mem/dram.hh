@@ -84,11 +84,8 @@ class DramModel
     static void
     snapFields(Self &self, Ar &ar)
     {
-        for (auto &ch : self.channels_) {
-            for (auto &bank : ch.banks)
-                ar.io(bank.open, bank.openRow, bank.busyUntil);
-            ar.io(ch.busUntil);
-        }
+        for (auto &ch : self.channels_)
+            ar.io(ch);
     }
 
   private:
@@ -97,12 +94,32 @@ class DramModel
         bool open = false;
         Addr openRow = 0;
         Cycle busyUntil = 0;
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &b, Ar &ar)
+        {
+            ar.io(b.open, b.openRow, b.busyUntil);
+        }
+
+        SIM_SNAPSHOT_FIELDS(3);
     };
 
     struct Channel
     {
         std::vector<Bank> banks;
         Cycle busUntil = 0;
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &c, Ar &ar)
+        {
+            for (auto &bank : c.banks)
+                ar.io(bank);
+            ar.io(c.busUntil);
+        }
+
+        SIM_SNAPSHOT_FIELDS(2);
     };
 
     unsigned channelOf(Addr line) const;

@@ -170,10 +170,9 @@ class MemHierarchy
     snapFields(Self &self, Ar &ar)
     {
         ar.io(self.l1i_, self.l1d_, self.llc_, self.dram_,
-              self.prefetcher_, self.demandMisses_, self.uselessMisses_);
-        for (auto &e : self.probeCache_)
-            ar.io(e.line, e.gen, e.miss);
-        ar.io(self.lastPrefUseful_, self.lastPrefIssued_);
+              self.prefetcher_, self.demandMisses_, self.uselessMisses_,
+              self.probeCache_, self.lastPrefUseful_,
+              self.lastPrefIssued_);
     }
 
   private:
@@ -218,6 +217,15 @@ class MemHierarchy
         Addr line = ~Addr{0}; //!< never a line-aligned address
         std::uint64_t gen = 0;
         bool miss = false;
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &e, Ar &ar)
+        {
+            ar.io(e.line, e.gen, e.miss);
+        }
+
+        SIM_SNAPSHOT_FIELDS(3);
     };
     static constexpr std::size_t kProbeCacheSlots = 64;
     mutable std::array<ProbeCacheEntry, kProbeCacheSlots> probeCache_{};

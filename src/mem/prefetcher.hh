@@ -83,11 +83,8 @@ class StreamPrefetcher
     static void
     snapFields(Self &self, Ar &ar)
     {
-        for (auto &s : self.streams_) {
-            ar.io(s.valid, s.confirmed, s.lastLine);
-            ar.i64(s.direction);
-            ar.io(s.lruTick);
-        }
+        for (auto &s : self.streams_)
+            ar.io(s);
         ar.io(self.degree_, self.tick_, self.pendingUseful_,
               self.pendingIssued_);
     }
@@ -100,6 +97,17 @@ class StreamPrefetcher
         std::int64_t lastLine = 0;
         int direction = 0;       //!< +1 or -1 once confirmed
         std::uint64_t lruTick = 0;
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &s, Ar &ar)
+        {
+            ar.io(s.valid, s.confirmed, s.lastLine);
+            ar.i64(s.direction);
+            ar.io(s.lruTick);
+        }
+
+        SIM_SNAPSHOT_FIELDS(5);
     };
 
     Stream *findStream(std::int64_t line);

@@ -82,15 +82,17 @@ Core::Core(const CoreConfig &config, const isa::Program &program,
 
     if (config_.mode == CoreMode::Cdf) {
         const auto &p = config_.cdf.partition;
-        robPart_ = std::make_unique<cdf::SectionPartition>(
-            "rob", config_.robSize, p.robStep, p.minSection,
-            p.stallThreshold, p.dynamic, p.initialCriticalFrac, stats_);
-        lqPart_ = std::make_unique<cdf::SectionPartition>(
-            "lq", config_.lqSize, p.lsqStep, p.minLsqSection,
-            p.stallThreshold, p.dynamic, p.initialCriticalFrac, stats_);
-        sqPart_ = std::make_unique<cdf::SectionPartition>(
-            "sq", config_.sqSize, p.lsqStep, p.minLsqSection,
-            p.stallThreshold, p.dynamic, p.initialCriticalFrac, stats_);
+        const auto addSection = [&](const char *name, SectionedQueue &q,
+                                    unsigned step, unsigned minSection) {
+            sections_.push_back(
+                {q, cdf::SectionPartition(name, q.size(), step, minSection,
+                                          p.stallThreshold, p.dynamic,
+                                          p.initialCriticalFrac, stats_)});
+        };
+        sections_.reserve(3);
+        addSection("rob", rob_, p.robStep, p.minSection);
+        addSection("lq", lsq_.lq(), p.lsqStep, p.minLsqSection);
+        addSection("sq", lsq_.sq(), p.lsqStep, p.minLsqSection);
         dbq_ = std::make_unique<cdf::DelayedBranchQueue>(
             config_.cdf.dbqEntries);
         cmq_ = std::make_unique<cdf::CriticalMapQueue>(
@@ -710,22 +712,16 @@ Core::statsStage()
     // their instructions retire (Section 3.6). Pending critical
     // uops in critQ_ still need slots, so release only once the
     // critical frontend has drained.
-    if (!cdfMode_ && robPart_ && rob_.criticalCap() > 0 &&
-        critQ_.empty()) {
+    if (capsReleasing() && critQ_.empty())
         releasePartitionCaps();
-    }
 
     // Dynamic partition evaluation (Section 3.5).
-    if (cdfMode_ && robPart_) {
-        robPart_->evaluate(
-            static_cast<unsigned>(rob_.criticalOccupancy()),
-            static_cast<unsigned>(rob_.nonCriticalOccupancy()));
-        lqPart_->evaluate(
-            static_cast<unsigned>(lsq_.lq().criticalOccupancy()),
-            static_cast<unsigned>(lsq_.lq().nonCriticalOccupancy()));
-        sqPart_->evaluate(
-            static_cast<unsigned>(lsq_.sq().criticalOccupancy()),
-            static_cast<unsigned>(lsq_.sq().nonCriticalOccupancy()));
+    if (cdfMode_) {
+        for (PartitionedSection &s : sections_) {
+            s.part.evaluate(
+                static_cast<unsigned>(s.queue.criticalOccupancy()),
+                static_cast<unsigned>(s.queue.nonCriticalOccupancy()));
+        }
         applyPartitionCaps();
     }
 }

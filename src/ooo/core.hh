@@ -39,8 +39,8 @@
 #include "ooo/dyn_inst.hh"
 #include "ooo/lsq.hh"
 #include "ooo/rename.hh"
-#include "ooo/rob.hh"
 #include "ooo/rs.hh"
+#include "ooo/sectioned_queue.hh"
 
 namespace cdfsim::ooo
 {
@@ -347,27 +347,33 @@ class Core
      */
     bool maybeSkipIdleCycles(Cycle maxCycles);
 
-    /** What a blocked rename stage charges each stalled cycle. */
-    enum class RenameStallKind : unsigned char
+    /**
+     * What rename would do with a stream's next instruction. The
+     * first three values are also the sections_ index a blocked
+     * cycle charges.
+     */
+    enum class RenameAdmit : unsigned char
     {
-        Progress, //!< rename would advance: not quiescent
-        Quiet,    //!< blocked with no per-cycle counter side effect
-        RobNote,  //!< blocked charging robPart_->noteStall(false)
-        LqNote,   //!< blocked charging lqPart_->noteStall(false)
-        SqNote,   //!< blocked charging sqPart_->noteStall(false)
+        ChargeRob, //!< blocked on the ROB (critical stream: or the RS)
+        ChargeLq,  //!< blocked on the LQ
+        ChargeSq,  //!< blocked on the SQ
+        Blocked,   //!< blocked with no per-cycle counter side effect
+        Progress,  //!< rename would advance
     };
-    RenameStallKind classifyRenameStall(Cycle &bound) const;
-
-    /** Same idea for the critical rename stage (renameCritical). */
-    enum class CritRenameStallKind : unsigned char
-    {
-        Progress,    //!< would rename or copy the critical RAT
-        Quiet,       //!< blocked with no counter side effect
-        CritRobNote, //!< blocked charging robPart_->noteStall(true)
-        CritLqNote,  //!< blocked charging lqPart_->noteStall(true)
-        CritSqNote,  //!< blocked charging sqPart_->noteStall(true)
-    };
-    CritRenameStallKind classifyCritRenameStall(Cycle &bound) const;
+    /**
+     * The one rename admission check of the critical (@p critical)
+     * or the regular stream, shared by renameCritical(),
+     * renameRegularOne() and the idle skip. Side-effect free: an
+     * instruction not yet through the frontend pipe lowers @p bound
+     * to its readyAtRename.
+     */
+    RenameAdmit renameAdmission(bool critical, Cycle &bound) const;
+    /** Charge @p n cycles of a blocked @p admit to its section's
+     *  partition counter (no-op without partitions). */
+    void chargeRenameStall(RenameAdmit admit, bool critical,
+                           std::uint64_t n);
+    /** The critical caps still drain after a CDF episode ended. */
+    bool capsReleasing() const;
 
     Cycle nextEventCycle();
     void bulkAccountSkippedCycles(std::uint64_t n);
@@ -382,7 +388,7 @@ class Core
     static void snapInst(Core &self, SnapReader &r, DynInst *&inst);
 
     // ------------------------------------------------------------------
-    SIM_SNAPSHOT_FIELDS(124);
+    SIM_SNAPSHOT_FIELDS(122);
 
     CoreConfig config_;
     StatRegistry &stats_;
@@ -400,7 +406,7 @@ class Core
     PhysRegFile prf_;
     RenameMap rat_;
     RenameMap critRat_;
-    Rob rob_;
+    SectionedQueue rob_;
     Lsq lsq_;
     ReservationStations rs_;
 
@@ -445,6 +451,17 @@ class Core
         {
             return when > o.when;
         }
+
+        /** Field list; @p each codes the instruction pointer. */
+        template <class Self, class Ar, class Each>
+        static void
+        snapFields(Self &e, Ar &ar, Each each)
+        {
+            ar.io(e.when);
+            each(ar, e.inst);
+        }
+
+        SIM_SNAPSHOT_FIELDS(2);
     };
     std::vector<CompletionEvent> completions_;
     std::vector<CompletionEvent> completionsScratch_;
@@ -481,9 +498,27 @@ class Core
     std::unique_ptr<cdf::MaskCache> maskCache_;
     std::unique_ptr<cdf::CriticalUopCache> uopCache_;
     std::unique_ptr<cdf::FillBuffer> fillBuffer_;
-    std::unique_ptr<cdf::SectionPartition> robPart_;
-    std::unique_ptr<cdf::SectionPartition> lqPart_;
-    std::unique_ptr<cdf::SectionPartition> sqPart_;
+    /** One partitioned window structure (Section 3.5): the queue
+     *  and the controller that sizes its critical section. */
+    struct PartitionedSection
+    {
+        SectionedQueue &queue;
+        cdf::SectionPartition part;
+
+        /** Field list: the split state (the queue is listed with
+         *  the backend containers). */
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &s, Ar &ar)
+        {
+            ar.io(s.part);
+        }
+
+        SIM_SNAPSHOT_FIELDS(2);
+    };
+    /** ROB, LQ and SQ, in RenameAdmit's charge order; empty outside
+     *  CDF mode. */
+    std::vector<PartitionedSection> sections_;
     std::unique_ptr<cdf::DelayedBranchQueue> dbq_;
     std::unique_ptr<cdf::CriticalMapQueue> cmq_;
 
@@ -519,6 +554,16 @@ class Core
     {
         SeqNum baseTs;
         std::vector<bool> critBits;
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &b, Ar &ar)
+        {
+            ar.io(b.baseTs);
+            ar.seq32(b.critBits);
+        }
+
+        SIM_SNAPSHOT_FIELDS(2);
     };
     std::deque<BbInfo> bbInfoQ_;
 
@@ -530,6 +575,15 @@ class Core
         isa::ExecRecord rec;
         SeqNum ts;
         bool critical;
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &w, Ar &ar)
+        {
+            ar.io(w.rec, w.ts, w.critical);
+        }
+
+        SIM_SNAPSHOT_FIELDS(3);
     };
     std::vector<WpRecord> wpRecords_;
     std::size_t wpConsumeIdx_ = 0;
@@ -542,6 +596,15 @@ class Core
         SeqNum ts;
         std::uint32_t state; //!< branchStates_ handle (owned)
         bool btbMiss;
+
+        template <class Self, class Ar>
+        static void
+        snapFields(Self &c, Ar &ar)
+        {
+            ar.io(c.ts, c.state, c.btbMiss);
+        }
+
+        SIM_SNAPSHOT_FIELDS(3);
     };
     std::vector<DbqCheckpoint> dbqCkpts_;
 

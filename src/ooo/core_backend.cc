@@ -43,45 +43,78 @@ Core::renameStage()
     }
 }
 
+Core::RenameAdmit
+Core::renameAdmission(bool critical, Cycle &bound) const
+{
+    const CircularQueue<DynInst *> &q = critical ? critQ_ : frontQ_;
+    if (q.empty())
+        return RenameAdmit::Blocked;
+    const DynInst *inst = q.front();
+    if (inst->readyAtRename > now_) {
+        bound = std::min(bound, inst->readyAtRename);
+        return RenameAdmit::Blocked;
+    }
+
+    // The critical RAT is a copy of the regular RAT taken once the
+    // last pre-CDF instruction renamed (Section 3.4); renameCritical
+    // makes the copy and checks again.
+    if (critical && !critRatCopied_) {
+        return regRenamedThroughTs_ >= cdfStartTs_ ? RenameAdmit::Progress
+                                                   : RenameAdmit::Blocked;
+    }
+
+    // CDF: critical uops in the regular stream replay the rename the
+    // critical stream performed, once it has produced the CMQ entry.
+    // The match precedes the poison probe (renameRegularOne), so a
+    // blocked replay has no side effects.
+    if (!critical && inst->cdfFetched && inst->critical) {
+        return cmq_->empty() || cmq_->front().ts != inst->ts
+                   ? RenameAdmit::Blocked
+                   : RenameAdmit::Progress;
+    }
+
+    if (!prf_.hasFree())
+        return RenameAdmit::Blocked;
+    if (!rob_.canInsert(critical))
+        return RenameAdmit::ChargeRob;
+    // A full RS charges the critical stream's ROB partition (the RS
+    // split follows the ROB's) but nothing for the regular stream.
+    if (!rs_.canInsert(critical))
+        return critical ? RenameAdmit::ChargeRob : RenameAdmit::Blocked;
+    if (inst->isLoad() && !lsq_.lq().canInsert(critical))
+        return RenameAdmit::ChargeLq;
+    if (inst->isStore() && !lsq_.sq().canInsert(critical))
+        return RenameAdmit::ChargeSq;
+    if (critical && cmq_->full())
+        return RenameAdmit::Blocked;
+    return RenameAdmit::Progress;
+}
+
+void
+Core::chargeRenameStall(RenameAdmit admit, bool critical, std::uint64_t n)
+{
+    if (admit < RenameAdmit::Blocked && !sections_.empty())
+        sections_[static_cast<unsigned>(admit)].part.noteStall(critical, n);
+}
+
 void
 Core::renameCritical(unsigned &slots)
 {
-    while (slots > 0 && !critQ_.empty()) {
-        DynInst *inst = critQ_.front();
-        if (inst->readyAtRename > now_)
+    while (slots > 0) {
+        Cycle unusedBound = kNeverCycle;
+        const RenameAdmit admit = renameAdmission(true, unusedBound);
+        if (admit != RenameAdmit::Progress) {
+            chargeRenameStall(admit, true, 1);
             return;
-
-        // The critical RAT is a copy of the regular RAT taken after
-        // the last pre-CDF instruction renamed (Section 3.4).
+        }
         if (!critRatCopied_) {
-            if (regRenamedThroughTs_ < cdfStartTs_)
-                return;
             critRat_.copyFrom(rat_);
             rat_.clearAllPoison();
             critRatCopied_ = true;
+            continue;
         }
 
-        if (!prf_.hasFree())
-            return;
-        if (!rob_.canInsert(true)) {
-            robPart_->noteStall(true);
-            return;
-        }
-        if (!rs_.canInsert(true)) {
-            robPart_->noteStall(true);
-            return;
-        }
-        if (inst->isLoad() && !lsq_.lq().canInsert(true)) {
-            lqPart_->noteStall(true);
-            return;
-        }
-        if (inst->isStore() && !lsq_.sq().canInsert(true)) {
-            sqPart_->noteStall(true);
-            return;
-        }
-        if (cmq_->full())
-            return;
-
+        DynInst *inst = critQ_.front();
         RenameResult rr = critRat_.rename(inst->uop, prf_);
         inst->physSrc1 = rr.physSrc1;
         inst->physSrc2 = rr.physSrc2;
@@ -115,20 +148,19 @@ Core::renameCritical(unsigned &slots)
 bool
 Core::renameRegularOne()
 {
-    if (frontQ_.empty())
+    Cycle unusedBound = kNeverCycle;
+    const RenameAdmit admit = renameAdmission(false, unusedBound);
+    if (admit != RenameAdmit::Progress) {
+        chargeRenameStall(admit, false, 1);
         return false;
+    }
     DynInst *inst = frontQ_.front();
-    if (inst->readyAtRename > now_)
-        return false;
 
     // CDF: critical uops in the regular stream replay the rename
     // performed in the critical stream and are then discarded
     // (Section 3.4); the poison-bit check detects dependence
     // violations (Section 3.6).
     if (inst->cdfFetched && inst->critical) {
-        if (cmq_->empty() || cmq_->front().ts != inst->ts)
-            return false; // critical rename has not produced it yet
-
         if (rat_.readsPoisoned(inst->uop)) {
             pendingDepViolationTs_ = inst->ts;
             return false;
@@ -161,26 +193,6 @@ Core::renameRegularOne()
     }
 
     // Regular rename path (baseline, PRE, and non-critical CDF uops).
-    if (!prf_.hasFree())
-        return false;
-    if (!rob_.canInsert(false)) {
-        if (robPart_)
-            robPart_->noteStall(false);
-        return false;
-    }
-    if (!rs_.canInsert(false))
-        return false;
-    if (inst->isLoad() && !lsq_.lq().canInsert(false)) {
-        if (lqPart_)
-            lqPart_->noteStall(false);
-        return false;
-    }
-    if (inst->isStore() && !lsq_.sq().canInsert(false)) {
-        if (sqPart_)
-            sqPart_->noteStall(false);
-        return false;
-    }
-
     RenameResult rr = rat_.rename(inst->uop, prf_);
     inst->physSrc1 = rr.physSrc1;
     inst->physSrc2 = rr.physSrc2;
@@ -507,14 +519,11 @@ Core::retireStage()
         if (config_.observeCriticality) {
             std::uint64_t crit = 0;
             std::uint64_t total = 0;
-            for (const auto *q :
-                 {&rob_.criticalSection(), &rob_.nonCriticalSection()}) {
-                for (const DynInst *i : *q) {
-                    ++total;
-                    if (i->critical)
-                        ++crit;
-                }
-            }
+            rob_.forEach([&](const DynInst *i) {
+                ++total;
+                if (i->critical)
+                    ++crit;
+            });
             if (total > 0) {
                 fig1CriticalFrac_.add(static_cast<double>(crit) /
                                       static_cast<double>(total));
@@ -802,6 +811,7 @@ Core::recoverFromBranch(DynInst *branch)
             }
         }
         critOnPath_ = true;
+        critWpStuck_ = false;
         critTraceValid_ = false;
         critTraceIdx_ = 0;
         critFetchPc_ = branch->actualTarget;
@@ -860,7 +870,7 @@ Core::memoryOrderViolation(DynInst *load)
 void
 Core::auditLsqRobAge() const
 {
-    rob_.auditAgeOrder();
+    rob_.auditAgeOrder("ROB");
     lsq_.auditAgeOrder();
 
     // Every resident entry must still be live in the slab pool; a
@@ -871,31 +881,16 @@ Core::auditLsqRobAge() const
                    " entry ts ", inst->ts,
                    " is not live in the slab pool");
     };
-    for (const auto *q :
-         {&rob_.criticalSection(), &rob_.nonCriticalSection()}) {
-        for (const DynInst *inst : *q)
-            checkAlive(inst, "ROB");
-    }
+    rob_.forEach([&](const DynInst *inst) { checkAlive(inst, "ROB"); });
 
     // Loads and stores leave the LSQ no later than the ROB (retire
     // pops both, flushes truncate both by timestamp), so every LSQ
-    // entry must also be ROB-resident. Both ROB sections are
-    // timestamp-sorted, so membership is two binary searches.
-    const auto inRob = [this](const DynInst *inst) {
-        for (const auto *q :
-             {&rob_.criticalSection(), &rob_.nonCriticalSection()}) {
-            const auto it = std::lower_bound(
-                q->begin(), q->end(), inst->ts,
-                [](const DynInst *e, SeqNum ts) { return e->ts < ts; });
-            if (it != q->end() && *it == inst)
-                return true;
-        }
-        return false;
-    };
-    const auto checkQueue = [&](const MemQueue &mq, const char *what) {
-        mq.forEach([&](DynInst *inst) {
+    // entry must also be ROB-resident.
+    const auto checkQueue = [&](const SectionedQueue &q,
+                                const char *what) {
+        q.forEach([&](const DynInst *inst) {
             checkAlive(inst, what);
-            SIM_ASSERT(inRob(inst), what, " entry ts ", inst->ts,
+            SIM_ASSERT(rob_.contains(inst), what, " entry ts ", inst->ts,
                        " is not resident in the ROB");
         });
     };

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <unordered_set>
 
 #include "common/logging.hh"
 #include "ooo/core.hh"
@@ -23,16 +22,15 @@ namespace cdfsim::ooo
 void
 Core::applyPartitionCaps()
 {
-    if (!robPart_)
+    if (sections_.empty())
         return;
-    rob_.setCriticalCap(robPart_->criticalCap());
-    lsq_.lq().setCriticalCap(lqPart_->criticalCap());
-    lsq_.sq().setCriticalCap(sqPart_->criticalCap());
+    for (PartitionedSection &s : sections_)
+        s.queue.setCriticalCap(s.part.criticalCap());
     // RS and PRF critical budgets scale with the ROB split
     // (Section 3.5).
     const unsigned rsCap = static_cast<unsigned>(
-        static_cast<std::uint64_t>(config_.rsSize) *
-        robPart_->criticalCap() / config_.robSize);
+        static_cast<std::uint64_t>(config_.rsSize) * rob_.criticalCap() /
+        config_.robSize);
     rs_.setCriticalCap(std::max(rsCap, 4u));
 }
 
@@ -42,14 +40,18 @@ Core::releasePartitionCaps()
     // Gradual release: cap shrinks to current occupancy so pending
     // critical instructions drain, then to zero (Section 3.6,
     // "Exiting CDF mode").
-    rob_.setCriticalCap(
-        static_cast<unsigned>(rob_.criticalOccupancy()));
-    lsq_.lq().setCriticalCap(
-        static_cast<unsigned>(lsq_.lq().criticalOccupancy()));
-    lsq_.sq().setCriticalCap(
-        static_cast<unsigned>(lsq_.sq().criticalOccupancy()));
+    for (PartitionedSection &s : sections_) {
+        s.queue.setCriticalCap(
+            static_cast<unsigned>(s.queue.criticalOccupancy()));
+    }
     rs_.setCriticalCap(
         static_cast<unsigned>(rs_.criticalOccupancy()));
+}
+
+bool
+Core::capsReleasing() const
+{
+    return !cdfMode_ && !sections_.empty() && rob_.criticalCap() > 0;
 }
 
 void
@@ -109,28 +111,29 @@ Core::beginCdfExit()
 void
 Core::drainCriticalFrontend()
 {
-    if (critQ_.empty()) {
-        critRatCopied_ = false;
-        return;
-    }
-    std::unordered_set<SeqNum> dropped;
+    // Both queues are strictly ts-ordered (auditFrontend checks it),
+    // so one forward pass over frontQ_ meets every dropped uop's
+    // regular-stream copy.
+    std::size_t copyIdx = 0;
     while (!critQ_.empty()) {
         DynInst *inst = critQ_.pop();
         if (traceTs(inst->ts))
             std::fprintf(stderr, "[%lu] DROP ts=%lu\n", now_,
                          inst->ts);
-        dropped.insert(inst->ts);
-        destroyInst(inst);
-    }
-    for (std::size_t i = 0; i < frontQ_.size(); ++i) {
-        DynInst *copy = frontQ_.at(i);
-        if (copy->critical && copy->cdfFetched &&
-            dropped.count(copy->ts)) {
-            if (traceTs(copy->ts))
-                std::fprintf(stderr, "[%lu] DEMOTE ts=%lu\n", now_,
-                             copy->ts);
-            copy->critical = false;
+        while (copyIdx < frontQ_.size() &&
+               frontQ_.at(copyIdx)->ts < inst->ts)
+            ++copyIdx;
+        if (copyIdx < frontQ_.size()) {
+            DynInst *copy = frontQ_.at(copyIdx);
+            if (copy->ts == inst->ts && copy->critical &&
+                copy->cdfFetched) {
+                if (traceTs(copy->ts))
+                    std::fprintf(stderr, "[%lu] DEMOTE ts=%lu\n", now_,
+                                 copy->ts);
+                copy->critical = false;
+            }
         }
+        destroyInst(inst);
     }
     critRatCopied_ = false;
 }

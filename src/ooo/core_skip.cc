@@ -18,7 +18,12 @@
  *     CycleCountRing event — RunningMean::addRepeated is exact for
  *     integral values),
  *   - the partition stall counter a blocked rename charges
- *     (SectionPartition::noteStallN).
+ *     (SectionPartition::noteStall with the window length).
+ *
+ * Rename's blocked state and its charge come from the rename stage's
+ * own admission check (Core::renameAdmission), and fetch's from its
+ * own readiness test (Core::regularFetchReady), so neither stage
+ * keeps a second copy of its check order here.
  *
  * Everything else is shown frozen: the completion heap's earliest
  * entry, the RS wakeup cache's lower bound (rsNextTry; parked
@@ -40,95 +45,6 @@
 
 namespace cdfsim::ooo
 {
-
-/**
- * Classify what the rename stage would do this cycle without doing
- * it: replicates renameRegularOne()'s check order exactly (the while
- * loop in renameStage() breaks on the first false return, so at most
- * one classification — and one noteStall — happens per cycle). When
- * the front uop is not yet through the frontend pipe, @p bound is
- * lowered to its readyAtRename; every other input is frozen while
- * the core is quiescent, so the classification holds for the whole
- * window. Requires renameCritical() to be a no-op — the caller
- * checks classifyCritRenameStall() — which freezes the CMQ.
- */
-Core::RenameStallKind
-Core::classifyRenameStall(Cycle &bound) const
-{
-    if (frontQ_.empty())
-        return RenameStallKind::Quiet;
-    const DynInst *inst = frontQ_.front();
-    if (inst->readyAtRename > now_) {
-        bound = std::min(bound, inst->readyAtRename);
-        return RenameStallKind::Quiet;
-    }
-
-    // CDF replay front: blocked only while the critical stream has
-    // not produced the matching CMQ entry (that check precedes the
-    // poison probe, so the blocked path has no side effects). With
-    // critQ_ empty the CMQ cannot gain entries, so a match means
-    // rename would advance.
-    if (inst->cdfFetched && inst->critical) {
-        if (cmq_->empty() || cmq_->front().ts != inst->ts)
-            return RenameStallKind::Quiet;
-        return RenameStallKind::Progress;
-    }
-
-    if (!prf_.hasFree())
-        return RenameStallKind::Quiet;
-    if (!rob_.canInsert(false))
-        return robPart_ ? RenameStallKind::RobNote
-                        : RenameStallKind::Quiet;
-    if (!rs_.canInsert(false))
-        return RenameStallKind::Quiet;
-    if (inst->isLoad() && !lsq_.lq().canInsert(false))
-        return lqPart_ ? RenameStallKind::LqNote
-                       : RenameStallKind::Quiet;
-    if (inst->isStore() && !lsq_.sq().canInsert(false))
-        return sqPart_ ? RenameStallKind::SqNote
-                       : RenameStallKind::Quiet;
-    return RenameStallKind::Progress;
-}
-
-/**
- * Classify what renameCritical() would do this cycle without doing
- * it, replicating its check order exactly (the while loop pops at
- * most zero entries when blocked, and charges at most one noteStall
- * per cycle). Outside CDF mode critQ_ is empty, so this is Quiet.
- */
-Core::CritRenameStallKind
-Core::classifyCritRenameStall(Cycle &bound) const
-{
-    if (critQ_.empty())
-        return CritRenameStallKind::Quiet;
-    const DynInst *inst = critQ_.front();
-    if (inst->readyAtRename > now_) {
-        bound = std::min(bound, inst->readyAtRename);
-        return CritRenameStallKind::Quiet;
-    }
-    if (!critRatCopied_) {
-        // Copying the critical RAT (and clearing poison) is a side
-        // effect; it unblocks the cycle regular rename passes the
-        // episode start, which the caller separately proves cannot
-        // happen inside the window.
-        return regRenamedThroughTs_ >= cdfStartTs_
-                   ? CritRenameStallKind::Progress
-                   : CritRenameStallKind::Quiet;
-    }
-    if (!prf_.hasFree())
-        return CritRenameStallKind::Quiet;
-    if (!rob_.canInsert(true))
-        return CritRenameStallKind::CritRobNote;
-    if (!rs_.canInsert(true))
-        return CritRenameStallKind::CritRobNote; // RS shares the charge
-    if (inst->isLoad() && !lsq_.lq().canInsert(true))
-        return CritRenameStallKind::CritLqNote;
-    if (inst->isStore() && !lsq_.sq().canInsert(true))
-        return CritRenameStallKind::CritSqNote;
-    if (cmq_->full())
-        return CritRenameStallKind::Quiet;
-    return CritRenameStallKind::Progress;
-}
 
 /**
  * First cycle strictly after now_ whose tick can do anything beyond
@@ -158,7 +74,7 @@ Core::nextEventCycle()
     // Post-episode partition release runs every cycle while the
     // critical cap drains; let it. (In CDF mode the caps are live
     // and handled by the partition bound below.)
-    if (!cdfMode_ && robPart_ && rob_.criticalCap() > 0)
+    if (capsReleasing())
         return tickNext;
 
     Cycle bound = kNeverCycle;
@@ -178,13 +94,16 @@ Core::nextEventCycle()
         !(h->criticalStream && !h->renamedRegular))
         return tickNext;
 
-    // Rename: blocked, with a window-constant (at most one) stall
-    // counter charge per stream.
-    const RenameStallKind regKind = classifyRenameStall(bound);
-    if (regKind == RenameStallKind::Progress)
+    // Rename: both streams blocked, with a window-constant (at most
+    // one) stall counter charge each. Every input of the admission
+    // check is frozen while the core is quiescent (a blocked
+    // critical stream also freezes the CMQ), except the frontend
+    // pipe's readyAtRename, which bounds the window.
+    const RenameAdmit regular = renameAdmission(false, bound);
+    if (regular == RenameAdmit::Progress)
         return tickNext;
-    const CritRenameStallKind critKind = classifyCritRenameStall(bound);
-    if (critKind == CritRenameStallKind::Progress)
+    const RenameAdmit critical = renameAdmission(true, bound);
+    if (critical == RenameAdmit::Progress)
         return tickNext;
 
     // Fetch: stalled, permanently halted, or provably stuck, as the
@@ -239,34 +158,18 @@ Core::nextEventCycle()
     // change canInsert() outcomes, so that cycle must be ticked.
     // Zero-resize threshold crossings only cycle the counters and
     // are replayed by SectionPartition::advanceCounters().
-    if (cdfMode_ && robPart_) {
-        const auto partitionBound = [&](cdf::SectionPartition &p,
-                                        bool chargeCrit,
-                                        bool chargeNonCrit,
-                                        std::size_t critOcc,
-                                        std::size_t nonCritOcc) {
-            const Cycle k = p.cyclesUntilCapChange(
-                chargeCrit, chargeNonCrit,
-                static_cast<unsigned>(critOcc),
-                static_cast<unsigned>(nonCritOcc));
+    if (cdfMode_) {
+        const auto critCharge = static_cast<std::size_t>(critical);
+        const auto regCharge = static_cast<std::size_t>(regular);
+        for (std::size_t i = 0; i < sections_.size(); ++i) {
+            const PartitionedSection &s = sections_[i];
+            const Cycle k = s.part.cyclesUntilCapChange(
+                critCharge == i, regCharge == i,
+                static_cast<unsigned>(s.queue.criticalOccupancy()),
+                static_cast<unsigned>(s.queue.nonCriticalOccupancy()));
             if (k != kNeverCycle)
                 bound = std::min(bound, now_ + k);
-        };
-        partitionBound(*robPart_,
-                       critKind == CritRenameStallKind::CritRobNote,
-                       regKind == RenameStallKind::RobNote,
-                       rob_.criticalOccupancy(),
-                       rob_.nonCriticalOccupancy());
-        partitionBound(*lqPart_,
-                       critKind == CritRenameStallKind::CritLqNote,
-                       regKind == RenameStallKind::LqNote,
-                       lsq_.lq().criticalOccupancy(),
-                       lsq_.lq().nonCriticalOccupancy());
-        partitionBound(*sqPart_,
-                       critKind == CritRenameStallKind::CritSqNote,
-                       regKind == RenameStallKind::SqNote,
-                       lsq_.sq().criticalOccupancy(),
-                       lsq_.sq().nonCriticalOccupancy());
+        }
     }
 
     // PRE entry controller: during a classified full-window stall on
@@ -327,60 +230,28 @@ Core::bulkAccountSkippedCycles(std::uint64_t n)
 
     // renameStage: the per-cycle stall-counter charges (one per
     // stream), then — in CDF mode — statsStage's per-cycle
-    // partition evaluate() replayed in closed form.
+    // partition evaluate() replayed in closed form. A CDF-configured
+    // core charges outside an episode too, where nothing evaluates.
     Cycle unusedBound = kNeverCycle;
-    const RenameStallKind regKind = classifyRenameStall(unusedBound);
-    if (regKind == RenameStallKind::Progress)
+    const RenameAdmit regular = renameAdmission(false, unusedBound);
+    const RenameAdmit critical = renameAdmission(true, unusedBound);
+    if (regular == RenameAdmit::Progress ||
+        critical == RenameAdmit::Progress)
         panic("bulk-accounting cycles while rename can progress");
-    const CritRenameStallKind critKind =
-        classifyCritRenameStall(unusedBound);
-    if (critKind == CritRenameStallKind::Progress)
-        panic("bulk-accounting cycles while critical rename can "
-              "progress");
 
-    if (cdfMode_ && robPart_) {
-        robPart_->advanceCounters(
-            critKind == CritRenameStallKind::CritRobNote,
-            regKind == RenameStallKind::RobNote, n,
-            static_cast<unsigned>(rob_.criticalOccupancy()),
-            static_cast<unsigned>(rob_.nonCriticalOccupancy()));
-        lqPart_->advanceCounters(
-            critKind == CritRenameStallKind::CritLqNote,
-            regKind == RenameStallKind::LqNote, n,
-            static_cast<unsigned>(lsq_.lq().criticalOccupancy()),
-            static_cast<unsigned>(lsq_.lq().nonCriticalOccupancy()));
-        sqPart_->advanceCounters(
-            critKind == CritRenameStallKind::CritSqNote,
-            regKind == RenameStallKind::SqNote, n,
-            static_cast<unsigned>(lsq_.sq().criticalOccupancy()),
-            static_cast<unsigned>(lsq_.sq().nonCriticalOccupancy()));
-    } else {
-        switch (regKind) {
-        case RenameStallKind::RobNote:
-            robPart_->noteStallN(false, n);
-            break;
-        case RenameStallKind::LqNote:
-            lqPart_->noteStallN(false, n);
-            break;
-        case RenameStallKind::SqNote:
-            sqPart_->noteStallN(false, n);
-            break;
-        default:
-            break;
-        }
-        switch (critKind) {
-        case CritRenameStallKind::CritRobNote:
-            robPart_->noteStallN(true, n);
-            break;
-        case CritRenameStallKind::CritLqNote:
-            lqPart_->noteStallN(true, n);
-            break;
-        case CritRenameStallKind::CritSqNote:
-            sqPart_->noteStallN(true, n);
-            break;
-        default:
-            break;
-        }
+    if (!cdfMode_) {
+        chargeRenameStall(regular, false, n);
+        chargeRenameStall(critical, true, n);
+        return;
+    }
+    const auto critCharge = static_cast<std::size_t>(critical);
+    const auto regCharge = static_cast<std::size_t>(regular);
+    for (std::size_t i = 0; i < sections_.size(); ++i) {
+        PartitionedSection &s = sections_[i];
+        s.part.advanceCounters(
+            critCharge == i, regCharge == i, n,
+            static_cast<unsigned>(s.queue.criticalOccupancy()),
+            static_cast<unsigned>(s.queue.nonCriticalOccupancy()));
     }
 }
 

@@ -48,7 +48,8 @@ Core::snapFields(Self &self, Ar &ar)
     // made the same construction decisions (guaranteed when configs
     // match, as the warmup key enforces); contents follow.
     const auto presence = [&ar](const auto &...parts) {
-        (ar.echo(parts != nullptr, "optional component presence"), ...);
+        (ar.echo(static_cast<bool>(parts), "optional component presence"),
+         ...);
     };
     const auto contents = [&ar](const auto &...parts) {
         ((parts ? ar.io(*parts) : void()), ...);
@@ -79,10 +80,8 @@ Core::snapFields(Self &self, Ar &ar)
     // The completion min-heap, layout-verbatim: restoring the vector
     // in order reproduces the identical heap array, so same-cycle
     // pop order (which feeds predictor updates) is preserved.
-    ar.seq32(self.completions_, [&](auto &a, auto &e) {
-        a.io(e.when);
-        inst(a, e.inst);
-    });
+    ar.seq32(self.completions_,
+             [&](auto &a, auto &e) { a.each(e, inst); });
 
     // Regular fetch stream and retire scalars.
     ar.io(self.now_, self.fetchSeqCounter_, self.nextFetchTs_,
@@ -93,29 +92,27 @@ Core::snapFields(Self &self, Ar &ar)
           self.fetchBbOffset_, self.retirePrevWasBranch_);
 
     // CDF components, then scalars and queues.
+    // The ROB, LQ and SQ partitions echo their presence one by one,
+    // between the fill buffer and the DBQ.
+    const bool parted = !self.sections_.empty();
     presence(self.loadCct_, self.branchCct_, self.maskCache_,
-             self.uopCache_, self.fillBuffer_, self.robPart_,
-             self.lqPart_, self.sqPart_, self.dbq_, self.cmq_);
+             self.uopCache_, self.fillBuffer_, parted, parted, parted,
+             self.dbq_, self.cmq_);
     contents(self.loadCct_, self.branchCct_, self.maskCache_,
-             self.uopCache_, self.fillBuffer_, self.robPart_,
-             self.lqPart_, self.sqPart_, self.dbq_, self.cmq_);
+             self.uopCache_, self.fillBuffer_);
+    for (auto &s : self.sections_)
+        ar.io(s);
+    contents(self.dbq_, self.cmq_);
     ar.io(self.cdfMode_, self.cdfDraining_, self.cdfCooldownUntil_,
           self.critRatCopied_, self.cdfStartTs_, self.regRenamedThroughTs_,
           self.critFetchPc_, self.critFetchBaseTs_, self.critOnPath_,
           self.critTraceValid_, self.critTrace_, self.critTraceIdx_,
           self.critCoveredUpTo_, self.critWpNextTs_, self.critWpBbBase_);
     ar.each(self.criticalByTs_, inst);
-    ar.seq32(self.bbInfoQ_, [](auto &a, auto &bb) {
-        a.io(bb.baseTs);
-        a.seq32(bb.critBits);
-    });
-    ar.seq32(self.wpRecords_, [](auto &a, auto &wp) {
-        a.io(wp.rec, wp.ts, wp.critical);
-    });
+    ar.seq32(self.bbInfoQ_);
+    ar.seq32(self.wpRecords_);
     ar.io(self.wpConsumeIdx_);
-    ar.seq32(self.dbqCkpts_, [](auto &a, auto &c) {
-        a.io(c.ts, c.state, c.btbMiss);
-    });
+    ar.seq32(self.dbqCkpts_);
     ar.io(self.critWpStuck_);
 
     // PRE machinery.

@@ -1,18 +1,23 @@
 /**
  * @file
- * Partitioned reorder buffer (paper Section 3.5).
+ * The partitioned window queue of paper Section 3.5: one type for
+ * the ROB, the load queue and the store queue.
  *
  * Two program-ordered sections — critical and non-critical — share
- * one capacity budget. In baseline mode everything lives in the
- * non-critical section. Retirement compares the timestamps of the
- * two section heads and retires the older, which is exactly the
- * paper's dual-retire-pointer scheme. Flushes truncate each section
- * from the back (entries are timestamp-ordered within a section).
+ * one capacity budget; the critical section's share is set by the
+ * partition controller (cdf::SectionPartition). Outside CDF mode the
+ * critical cap is 0 and everything lives in the non-critical
+ * section. The head is the older of the two section heads, which is
+ * the paper's dual-retire-pointer scheme for the ROB and the
+ * "two sets of (smaller) ordered queues" it describes for the LSQ.
+ * Flushes truncate each section from the back (entries are
+ * timestamp-ordered within a section).
  */
 
-#ifndef CDFSIM_OOO_ROB_HH
-#define CDFSIM_OOO_ROB_HH
+#ifndef CDFSIM_OOO_SECTIONED_QUEUE_HH
+#define CDFSIM_OOO_SECTIONED_QUEUE_HH
 
+#include <algorithm>
 #include <deque>
 
 #include "common/audit.hh"
@@ -23,22 +28,22 @@
 namespace cdfsim::ooo
 {
 
-/** The reorder buffer. */
-class Rob
+/** A two-section, timestamp-ordered queue (ROB, LQ or SQ). */
+class SectionedQueue
 {
   public:
-    explicit Rob(unsigned size) : size_(size), critCap_(0) {}
+    explicit SectionedQueue(unsigned size) : size_(size), critCap_(0) {}
 
     unsigned size() const { return size_; }
 
     /** Capacity currently granted to the critical section. */
     unsigned criticalCap() const { return critCap_; }
 
-    /** Update partition capacities (from the partition controller). */
+    /** Update the critical section's capacity (partition controller). */
     void
     setCriticalCap(unsigned cap)
     {
-        SIM_ASSERT(cap <= size_, "critical cap exceeds ROB");
+        SIM_ASSERT(cap <= size_, "critical cap exceeds capacity");
         critCap_ = cap;
     }
 
@@ -53,25 +58,19 @@ class Rob
     void
     insert(DynInst *inst, bool critical)
     {
-        SIM_ASSERT(canInsert(critical), "ROB section overflow");
+        SIM_ASSERT(canInsert(critical), "section overflow");
         auto &q = critical ? crit_ : nonCrit_;
         SIM_ASSERT(q.empty() || q.back()->ts < inst->ts,
-                   "ROB section out of program order");
+                   "section out of program order");
         q.push_back(inst);
     }
 
     bool empty() const { return crit_.empty() && nonCrit_.empty(); }
-
-    std::size_t
-    occupancy() const
-    {
-        return crit_.size() + nonCrit_.size();
-    }
-
+    std::size_t occupancy() const { return crit_.size() + nonCrit_.size(); }
     std::size_t criticalOccupancy() const { return crit_.size(); }
     std::size_t nonCriticalOccupancy() const { return nonCrit_.size(); }
 
-    /** The globally oldest instruction (minimum timestamp head). */
+    /** The globally oldest entry (minimum timestamp head). */
     DynInst *
     head() const
     {
@@ -89,16 +88,25 @@ class Rob
     popHead()
     {
         DynInst *h = head();
-        SIM_ASSERT(h, "popHead on empty ROB");
+        SIM_ASSERT(h, "popHead on an empty queue");
         if (!crit_.empty() && crit_.front() == h)
             crit_.pop_front();
         else
             nonCrit_.pop_front();
     }
 
+    /** Remove a retiring instruction, which must be the head. */
+    void
+    retire(const DynInst *inst)
+    {
+        SIM_ASSERT(head() == inst, "retiring instruction ts ", inst->ts,
+                   " is not the queue head");
+        popHead();
+    }
+
     /**
-     * Drop every instruction with ts > @p flushTs. Returns how many
-     * were dropped (callers walk the master list for cleanup).
+     * Drop every entry with ts > @p flushTs. Returns how many were
+     * dropped (callers walk the master list for cleanup).
      */
     unsigned
     flushYounger(SeqNum flushTs)
@@ -113,20 +121,29 @@ class Rob
         return dropped;
     }
 
-    /** Iteration support for stall analysis (Fig. 1). */
-    const std::deque<DynInst *> &criticalSection() const { return crit_; }
-
-    const std::deque<DynInst *> &
-    nonCriticalSection() const
+    /** Visit every entry: the critical section, then the other. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
     {
-        return nonCrit_;
+        for (DynInst *i : crit_)
+            fn(i);
+        for (DynInst *i : nonCrit_)
+            fn(i);
     }
 
-    void
-    clear()
+    /** True when @p inst is resident (a binary search per section). */
+    bool
+    contains(const DynInst *inst) const
     {
-        crit_.clear();
-        nonCrit_.clear();
+        for (const auto *q : {&crit_, &nonCrit_}) {
+            const auto it = std::lower_bound(
+                q->begin(), q->end(), inst->ts,
+                [](const DynInst *e, SeqNum ts) { return e->ts < ts; });
+            if (it != q->end() && *it == inst)
+                return true;
+        }
+        return false;
     }
 
     /**
@@ -134,20 +151,21 @@ class Rob
      * strictly increasing timestamp order, under a critical cap that
      * fits the capacity. insert() asserts each of these pairwise at
      * insert time; the walk catches later corruption of resident
-     * state. Always compiled (tests call it in any build type);
-     * sampled from the retire stage in Audit builds.
+     * state. @p name labels the queue ("ROB"/"LQ"/"SQ") in the
+     * panic message. Always compiled (tests call it in any build
+     * type); sampled from the retire stage in Audit builds.
      */
     void
-    auditAgeOrder() const
+    auditAgeOrder(const char *name) const
     {
-        SIM_ASSERT(critCap_ <= size_,
-                   "ROB critical cap exceeds capacity");
+        SIM_ASSERT(critCap_ <= size_, name,
+                   " critical cap exceeds capacity");
         for (const auto *q : {&crit_, &nonCrit_}) {
             const DynInst *prev = nullptr;
             for (const DynInst *inst : *q) {
-                SIM_ASSERT(inst != nullptr, "null ROB entry");
-                SIM_ASSERT(!prev || prev->ts < inst->ts,
-                           "ROB section out of age order");
+                SIM_ASSERT(inst != nullptr, "null ", name, " entry");
+                SIM_ASSERT(!prev || prev->ts < inst->ts, name,
+                           " section out of age order");
                 prev = inst;
             }
         }
@@ -177,4 +195,4 @@ class Rob
 
 } // namespace cdfsim::ooo
 
-#endif // CDFSIM_OOO_ROB_HH
+#endif // CDFSIM_OOO_SECTIONED_QUEUE_HH

@@ -564,6 +564,33 @@ struct AuditPeer
     {
         c.wpConsumeIdx_ = c.wpRecords_.size() + 1;
     }
+
+    // --- Core: critical fetch off path ------------------------------
+
+    static bool
+    criticalFetchOnPath(const ooo::Core &c)
+    {
+        return c.critOnPath_;
+    }
+
+    static bool
+    criticalWrongPathStuck(const ooo::Core &c)
+    {
+        return c.critWpStuck_;
+    }
+
+    /** Mark the critical wrong path as run into unwalkable code. */
+    static void
+    stickCriticalWrongPath(ooo::Core &c)
+    {
+        c.critWpStuck_ = true;
+    }
+
+    static SeqNum
+    criticalCoveredUpTo(const ooo::Core &c)
+    {
+        return c.critCoveredUpTo_;
+    }
 };
 
 } // namespace cdfsim
@@ -1067,6 +1094,41 @@ TEST_F(AuditSystemCdf, FrontendFiresOnCritQueueOrder)
 {
     expectFires([](auto &c) { return AuditPeer::reorderCritQ(c); },
                 [](auto &c) { c.auditFrontend(); });
+}
+
+TEST_F(AuditSystemCdf, StuckCriticalWrongPathClearsOnRecovery)
+{
+    // Critical fetch goes off path at a mispredicted branch; mark its
+    // wrong path stuck (as unwalkable code would), then let the
+    // branch resolve. The in-mode recovery restarts critical fetch on
+    // the corrected path, which must clear the flag: otherwise
+    // critical fetch stays idle and the regular stream waits at
+    // critCoveredUpTo_ until the deadlock watchdog fires.
+    auto &c = core();
+    const auto step = [&c] { c.run(~std::uint64_t{0}, c.cycle() + 1); };
+    for (int i = 0; i < 30'000 && !c.halted() &&
+                    !(c.inCdfMode() && !AuditPeer::criticalFetchOnPath(c));
+         ++i)
+        step();
+    ASSERT_TRUE(c.inCdfMode() && !AuditPeer::criticalFetchOnPath(c))
+        << "critical fetch never went off path on mcf/cdf";
+
+    AuditPeer::stickCriticalWrongPath(c);
+    for (int i = 0; i < 5'000 && c.inCdfMode() &&
+                    !AuditPeer::criticalFetchOnPath(c);
+         ++i)
+        step();
+    ASSERT_TRUE(c.inCdfMode() && AuditPeer::criticalFetchOnPath(c))
+        << "the mispredict did not recover inside the CDF episode";
+    EXPECT_FALSE(AuditPeer::criticalWrongPathStuck(c));
+
+    const auto covered = AuditPeer::criticalCoveredUpTo(c);
+    for (int i = 0; i < 200 && c.inCdfMode() &&
+                    AuditPeer::criticalCoveredUpTo(c) == covered;
+         ++i)
+        step();
+    EXPECT_GT(AuditPeer::criticalCoveredUpTo(c), covered)
+        << "critical fetch did not resume after the recovery";
 }
 
 /** The frontend walk on a Precise Runahead core, where episodes

@@ -492,7 +492,7 @@ TEST(Partition, GrowsCriticalOnStallLead)
     SectionPartition p("rob", 352, 8, 8, 4, true, 0.5, s);
     const unsigned before = p.criticalCap();
     for (int i = 0; i < 4; ++i)
-        p.noteStall(true);
+        p.noteStall(true, 1);
     p.evaluate(0, 0);
     EXPECT_EQ(p.criticalCap(), before + 8);
     EXPECT_EQ(s.get("rob.partition_grows"), 1u);
@@ -504,7 +504,7 @@ TEST(Partition, ShrinkClampsToOccupancy)
     SectionPartition p("rob", 352, 8, 8, 4, true, 0.5, s);
     const unsigned before = p.criticalCap(); // 176
     for (int i = 0; i < 4; ++i)
-        p.noteStall(false);
+        p.noteStall(false, 1);
     p.evaluate(before - 3, 0); // critical occupancy near cap
     EXPECT_EQ(p.criticalCap(), before - 3);
 }
@@ -515,7 +515,7 @@ TEST(Partition, StaticModeNeverMoves)
     SectionPartition p("rob", 352, 8, 8, 4, false, 0.75, s);
     const unsigned before = p.criticalCap();
     for (int i = 0; i < 100; ++i)
-        p.noteStall(true);
+        p.noteStall(true, 1);
     p.evaluate(0, 0);
     EXPECT_EQ(p.criticalCap(), before);
 }
@@ -525,12 +525,12 @@ TEST(Partition, RespectsMinimumSections)
     StatRegistry s;
     SectionPartition p("rob", 64, 8, 8, 1, true, 0.5, s);
     for (int i = 0; i < 100; ++i) {
-        p.noteStall(true);
+        p.noteStall(true, 1);
         p.evaluate(0, 0);
     }
     EXPECT_LE(p.criticalCap(), 64u - 8u);
     for (int i = 0; i < 100; ++i) {
-        p.noteStall(false);
+        p.noteStall(false, 1);
         p.evaluate(0, 0);
     }
     EXPECT_GE(p.criticalCap(), 8u);

@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for the OoO backend structures: the partitioned ROB,
- * the partitioned load/store queues with timestamp disambiguation,
+ * Unit tests for the OoO backend structures: the sectioned queue
+ * behind the partitioned ROB, LQ and SQ (the Rob and MemQueue
+ * suites), the load/store queues' timestamp disambiguation,
  * the reservation stations' critical-first selection, and the
  * rename map / physical register file.
  */
@@ -10,8 +11,8 @@
 
 #include "ooo/lsq.hh"
 #include "ooo/rename.hh"
-#include "ooo/rob.hh"
 #include "ooo/rs.hh"
+#include "ooo/sectioned_queue.hh"
 
 using namespace cdfsim;
 using namespace cdfsim::ooo;
@@ -49,11 +50,11 @@ makeMem(SeqNum ts, Addr addr, bool isStore, bool addrKnown = true)
 
 } // namespace
 
-// --- Rob ---
+// --- SectionedQueue as the ROB ---
 
 TEST(Rob, RetiresMinimumTimestampAcrossSections)
 {
-    Rob rob(16);
+    SectionedQueue rob(16);
     rob.setCriticalCap(8);
     DynInst c1 = makeInst(5, true), c2 = makeInst(9, true);
     DynInst n1 = makeInst(3), n2 = makeInst(7);
@@ -73,7 +74,7 @@ TEST(Rob, RetiresMinimumTimestampAcrossSections)
 
 TEST(Rob, SectionCapacitiesEnforced)
 {
-    Rob rob(4);
+    SectionedQueue rob(4);
     rob.setCriticalCap(1);
     DynInst c1 = makeInst(1, true), c2 = makeInst(2, true);
     DynInst n1 = makeInst(3), n2 = makeInst(4), n3 = makeInst(5),
@@ -91,7 +92,7 @@ TEST(Rob, SectionCapacitiesEnforced)
 
 TEST(Rob, FlushYoungerTruncatesBothSections)
 {
-    Rob rob(16);
+    SectionedQueue rob(16);
     rob.setCriticalCap(8);
     DynInst c1 = makeInst(2, true), c2 = makeInst(8, true);
     DynInst n1 = makeInst(4), n2 = makeInst(6), n3 = makeInst(9);
@@ -107,7 +108,7 @@ TEST(Rob, FlushYoungerTruncatesBothSections)
 
 TEST(Rob, FlushYoungerOnEmptyRobIsNoop)
 {
-    Rob rob(8);
+    SectionedQueue rob(8);
     EXPECT_EQ(rob.flushYounger(5), 0u);
     EXPECT_TRUE(rob.empty());
     EXPECT_EQ(rob.head(), nullptr);
@@ -115,7 +116,7 @@ TEST(Rob, FlushYoungerOnEmptyRobIsNoop)
 
 TEST(Rob, FlushYoungerCanFlushEverything)
 {
-    Rob rob(8);
+    SectionedQueue rob(8);
     rob.setCriticalCap(4);
     DynInst c1 = makeInst(3, true), n1 = makeInst(4), n2 = makeInst(6);
     rob.insert(&c1, true);
@@ -128,7 +129,7 @@ TEST(Rob, FlushYoungerCanFlushEverything)
 
 TEST(Rob, FlushYoungerAtOrAboveMaxTsFlushesNothing)
 {
-    Rob rob(8);
+    SectionedQueue rob(8);
     rob.setCriticalCap(4);
     DynInst c1 = makeInst(3, true), n1 = makeInst(4), n2 = makeInst(6);
     rob.insert(&c1, true);
@@ -142,7 +143,7 @@ TEST(Rob, FlushYoungerAtOrAboveMaxTsFlushesNothing)
 
 TEST(Rob, OutOfOrderInsertPanics)
 {
-    Rob rob(8);
+    SectionedQueue rob(8);
     rob.setCriticalCap(4);
     DynInst a = makeInst(5, true), b = makeInst(4, true);
     rob.insert(&a, true);
@@ -221,7 +222,7 @@ TEST(Lsq, OlderLoadsAreNeverViolations)
 
 TEST(MemQueue, PartitionedCapacityAndRetire)
 {
-    MemQueue q(4);
+    SectionedQueue q(4);
     q.setCriticalCap(2);
     DynInst c = makeMem(1, 0, false);
     c.critical = true;
@@ -232,6 +233,32 @@ TEST(MemQueue, PartitionedCapacityAndRetire)
     q.retire(&c);
     q.retire(&n);
     EXPECT_EQ(q.occupancy(), 0u);
+}
+
+TEST(MemQueue, RetiringANonHeadPanics)
+{
+    SectionedQueue q(8);
+    q.setCriticalCap(4);
+    DynInst c = makeMem(5, 0, false);
+    DynInst n1 = makeMem(2, 0, false), n2 = makeMem(7, 0, false);
+    q.insert(&c, true);
+    q.insert(&n1, false);
+    q.insert(&n2, false);
+    // The critical section's front (ts 5) is younger than the
+    // non-critical front (ts 2), so it is not the head.
+    EXPECT_THROW(q.retire(&c), PanicError);
+    EXPECT_THROW(q.retire(&n2), PanicError);
+    EXPECT_EQ(q.occupancy(), 3u);
+    q.retire(&n1);
+    q.retire(&c);
+    q.retire(&n2);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(Rob, PopHeadOnEmptyPanics)
+{
+    SectionedQueue rob(4);
+    EXPECT_THROW(rob.popHead(), PanicError);
 }
 
 // --- ReservationStations ---

@@ -13,7 +13,8 @@
  * around would-be jumps, wrong-path fetch during stalls, and parked
  * RS entries waking at the jump target. Directed tests pin down the
  * cases randomness hits rarely: a cycle budget expiring inside a
- * would-be jump and the warmup/measure boundary adjoining one.
+ * would-be jump, the warmup/measure boundary adjoining one, and LQ/SQ
+ * partition charges accrued inside skipped CDF-mode windows.
  */
 
 #include <gtest/gtest.h>
@@ -24,11 +25,32 @@
 #include <vector>
 
 #include "common/hash.hh"
+#include "common/audit.hh"
+#include "common/serialize.hh"
+#include "ooo/core.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
 #include "workloads/workloads.hh"
 
 using namespace cdfsim;
+
+namespace cdfsim
+{
+
+/** The test-only backdoor (common/audit.hh) the core befriends. */
+struct AuditPeer
+{
+    static std::vector<std::uint8_t>
+    partitionBytes(const ooo::Core &c)
+    {
+        SnapWriter w;
+        for (const auto &s : c.sections_)
+            w.io(s);
+        return w.take();
+    }
+};
+
+} // namespace cdfsim
 
 namespace
 {
@@ -42,13 +64,19 @@ struct RunImage
     bool ok = false;
 };
 
+/** One run; with @p partitions, also the snapshot bytes of the core's
+ *  partition controllers at its end (split and stall counters, which
+ *  feed no stat until they trigger a resize). */
 RunImage
 runOnce(const workloads::Workload &workload, ooo::CoreConfig config,
-        const sim::RunSpec &spec, bool skip)
+        const sim::RunSpec &spec, bool skip,
+        std::vector<std::uint8_t> *partitions = nullptr)
 {
     config.skipIdleCycles = skip;
     sim::Simulator simulator(config, workload);
     const sim::RunResult run = simulator.run(spec);
+    if (partitions)
+        *partitions = AuditPeer::partitionBytes(simulator.core());
     return {sim::toJson(run).dump(-1), run.skippedCycles,
             run.skipEvents, run.ok()};
 }
@@ -252,4 +280,50 @@ TEST(SkipEquivalence, SkipCountersReflectTheKnob)
     EXPECT_GT(on.skipEvents, 0u);
     // Every jump fast-forwards at least one full cycle.
     EXPECT_GE(on.skippedCycles, on.skipEvents);
+}
+
+/**
+ * CDF mode with load and store queues shrunk to a few entries per
+ * section: rename blocks on a full LQ or SQ section while the core
+ * idles on DRAM, so skipped windows bulk-charge those partitions and
+ * (with dynamic partitioning) replay evaluate()'s counter resets in
+ * closed form; frozen partitions only accumulate. On gems both streams
+ * block on the LQ inside skipped windows, on libquantum the regular
+ * stream blocks on the SQ. The partition stall counters feed no stat
+ * until they trigger a resize, so their end-of-run bytes are compared
+ * too.
+ */
+TEST(SkipEquivalence, CdfLsqPartitionChargesInsideSkippedWindows)
+{
+    for (const char *name : {"gems", "libquantum"}) {
+        const workloads::Workload workload =
+            workloads::makeWorkload(name);
+        for (const bool dynamic : {true, false}) {
+            ooo::CoreConfig config;
+            config.mode = ooo::CoreMode::Cdf;
+            config.lqSize = 12;
+            config.sqSize = 9;
+            config.cdf.partition.dynamic = dynamic;
+            config.mem.l1d.sizeBytes = 4 * 1024;
+            config.mem.llc.sizeBytes = 64 * 1024;
+
+            sim::RunSpec spec;
+            spec.warmupInstrs = 1'000;
+            spec.measureInstrs = 8'000;
+            spec.maxCycles = 5'000'000;
+
+            const std::string label = std::string(name) + ", dynamic " +
+                                      (dynamic ? "on" : "off");
+            std::vector<std::uint8_t> offState, onState;
+            const RunImage off =
+                runOnce(workload, config, spec, false, &offState);
+            const RunImage on =
+                runOnce(workload, config, spec, true, &onState);
+            ASSERT_TRUE(on.ok) << label;
+            EXPECT_GT(on.skippedCycles, 0u) << label;
+            expectIdentical(off, on, label);
+            EXPECT_TRUE(offState == onState)
+                << label << ": end-of-run partition state diverged";
+        }
+    }
 }

@@ -199,6 +199,56 @@ TEST(Snapshot, PayloadIndependentOfHostKnobs)
     EXPECT_EQ(sim::toJson(ra).dump(), sim::toJson(rb).dump());
 }
 
+TEST(Snapshot, PayloadBytesMatchGolden)
+{
+    // Pins the checkpoint bytes themselves, not just the round trip:
+    // FNV-1a of Simulator::saveState's payload and the warmup key for
+    // a baseline cell, a CDF cell saved mid-episode (partition caps,
+    // CMQ and critical fetch state live) and a PRE cell. A refactor
+    // of any snapshotted type must leave these unchanged; they may
+    // only move together with a kCheckpointSchemaVersion bump.
+    struct Golden
+    {
+        const char *workload;
+        ooo::CoreMode mode;
+        bool midEpisode;
+        std::uint64_t payloadHash;
+        std::uint64_t key;
+    };
+    const Golden cells[] = {
+        {"astar", ooo::CoreMode::Baseline, false, 0xb5a8c891f4a5d505ull,
+         0x7a0dddbdd60ac7c5ull},
+        {"mcf", ooo::CoreMode::Cdf, true, 0x83bfeb4d5d3b4b7aull,
+         0xed90ffdb93d3407full},
+        {"lbm", ooo::CoreMode::Pre, false, 0x4382e79557d1d612ull,
+         0xdee6705e631a2be7ull},
+    };
+    ASSERT_EQ(sim::kCheckpointSchemaVersion, 3u);
+    sim::RunSpec spec;
+    spec.warmupInstrs = 4'000;
+    for (const Golden &g : cells) {
+        const ooo::CoreConfig config = configFor(g.mode);
+        sim::Simulator s(config, workloads::makeWorkload(g.workload));
+        s.warmup(spec);
+        for (int chunk = 0; g.midEpisode && chunk < 200 &&
+                            !s.core().inCdfMode();
+             ++chunk)
+            s.core().run(s.core().retired() + 2'000, kNeverCycle);
+        if (g.midEpisode) {
+            ASSERT_TRUE(s.core().inCdfMode()) << g.workload;
+        }
+        SnapWriter w;
+        s.saveState(w);
+        EXPECT_EQ(w.fnv1a(), g.payloadHash)
+            << g.workload << "/" << sim::toString(g.mode) << std::hex
+            << " payload hash 0x" << w.fnv1a() << ", "
+            << std::dec << w.bytes().size() << " bytes";
+        EXPECT_EQ(sim::warmupKey(g.workload, config, spec), g.key)
+            << g.workload << "/" << sim::toString(g.mode) << std::hex
+            << " key 0x" << sim::warmupKey(g.workload, config, spec);
+    }
+}
+
 TEST(Snapshot, HaltedWorkloadShorterThanWarmup)
 {
     // The program ends before warmupInstrs retire: the checkpoint
