@@ -65,9 +65,8 @@ BM_MlpSample(benchmark::State &state)
 }
 BENCHMARK(BM_MlpSample);
 
-// The retire-time LLC classifier: repeated probes of a small working
-// set with no intervening fills (the common case inside one retire
-// burst).
+// PRE's runahead chain-load filter: L1D + LLC tag probes over a
+// small warmed working set, no fills in between.
 static void
 BM_WouldMissLlc(benchmark::State &state)
 {

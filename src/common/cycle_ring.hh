@@ -1,23 +1,19 @@
 /**
  * @file
- * Ring buffers over completion *cycles*, built for the memory
- * system's two hot bookkeeping patterns:
+ * Sorted ring buffer over completion *cycles*: the one structure
+ * behind the memory system's two every-cycle questions, "how many
+ * misses are still in flight at now" and "when does the next one
+ * complete".
  *
- *  - MonotonicCycleRing: the MSHR file. A sorted ring of in-flight
- *    completion times with O(1) prune-from-head and O(1) earliest
- *    lookup, replacing the per-miss erase_if + min-scan over a
- *    vector. Holds the same multiset of cycles the vector held, so
- *    backpressure decisions are bit-identical.
+ *  - The MSHR file of each cache level: backpressure reads the
+ *    earliest in-flight completion after pruning to "now".
+ *  - The hierarchy's outstanding DRAM miss counters: the MLP sample
+ *    reads size() after pruning to "now", and the idle-skip bound
+ *    reads earliest().
  *
- *  - CycleCountRing: the hierarchy's outstanding-miss counters
- *    (MLP sampling reads them every cycle). Instead of storing one
- *    element per miss and pruning linearly, it keeps a count per
- *    future cycle in a power-of-two ring and advances a cursor,
- *    subtracting expired buckets — O(1) amortized per simulated
- *    cycle regardless of how many misses are in flight.
- *
- * Both grow on demand (DRAM completion times drift arbitrarily far
- * ahead under bank queueing), so neither imposes a semantic cap.
+ * O(1) prune-from-head and O(1) earliest lookup. The ring grows on
+ * demand (DRAM completion times drift arbitrarily far ahead under
+ * bank queueing), so it imposes no semantic cap.
  */
 
 #ifndef CDFSIM_COMMON_CYCLE_RING_HH
@@ -62,6 +58,13 @@ class MonotonicCycleRing
     {
         SIM_ASSERT(count_ > 0, "earliest() on empty cycle ring");
         return buf_[head_ & (buf_.size() - 1)];
+    }
+
+    /** earliest(), or kNeverCycle when the ring is empty. */
+    Cycle
+    earliestOrNever() const
+    {
+        return count_ == 0 ? kNeverCycle : earliest();
     }
 
     /** Drop every entry with cycle <= @p now. */
@@ -161,144 +164,6 @@ class MonotonicCycleRing
     std::vector<Cycle> buf_;
     std::size_t head_ = 0; //!< free-running; index is head_ & mask
     std::size_t count_ = 0;
-    AuditSampler auditTick_{1024};
-};
-
-/**
- * Per-cycle completion counts over a sliding power-of-two horizon.
- *
- * add(c) records one event completing at cycle c; advanceTo(now)
- * expires every bucket <= now. outstanding() then equals the number
- * of recorded events with completion cycle > now — exactly the size
- * the old vector reported after erase_if(c <= now).
- */
-class CycleCountRing
-{
-  public:
-    explicit CycleCountRing(std::size_t horizonHint = 1024)
-    {
-        counts_.resize(std::bit_ceil(
-            horizonHint < 2 ? std::size_t{2} : horizonHint));
-    }
-
-    /** Record one event completing at cycle @p c. Events at or
-     *  before the cursor are already expired and are dropped. */
-    void
-    add(Cycle c)
-    {
-        if (c <= base_)
-            return;
-        if (c - base_ > counts_.size())
-            grow(static_cast<std::size_t>(c - base_));
-        ++counts_[c & (counts_.size() - 1)];
-        ++outstanding_;
-        SIM_AUDIT_ONLY(if (auditTick_.due()) auditInvariants();)
-    }
-
-    /** Expire every bucket at or before @p now. Amortized O(1) per
-     *  simulated cycle: each bucket is cleared at most once per
-     *  revolution, and empty spans are skipped wholesale. */
-    void
-    advanceTo(Cycle now)
-    {
-        if (now <= base_)
-            return;
-        if (outstanding_ == 0) { // all buckets zero; jump the cursor
-            base_ = now;
-            return;
-        }
-        const std::size_t mask = counts_.size() - 1;
-        while (base_ < now) {
-            ++base_;
-            std::uint32_t &slot = counts_[base_ & mask];
-            outstanding_ -= slot;
-            slot = 0;
-            if (outstanding_ == 0) {
-                base_ = now;
-                break;
-            }
-        }
-    }
-
-    /** Events still in flight (completion cycle > cursor). */
-    std::size_t outstanding() const { return outstanding_; }
-
-    /**
-     * Cycle of the next non-empty bucket strictly after the cursor,
-     * or kNeverCycle when nothing is in flight. The outstanding()
-     * value is constant for every cycle in (cursor, nextEventCycle):
-     * the idle-skip fast path uses this bound to bulk-apply the
-     * per-cycle MLP sample. O(horizon) worst case, but only called
-     * when the core is quiescent.
-     */
-    Cycle
-    nextEventCycle() const
-    {
-        if (outstanding_ == 0)
-            return kNeverCycle;
-        const std::size_t mask = counts_.size() - 1;
-        for (std::size_t i = 1; i <= counts_.size(); ++i) {
-            if (counts_[(base_ + i) & mask] != 0)
-                return base_ + i;
-        }
-        panic("cycle count ring outstanding without a live bucket");
-    }
-
-    Cycle cursor() const { return base_; }
-    std::size_t horizon() const { return counts_.size(); }
-
-    /** Field list: buckets verbatim (horizon included — it grows on
-     *  demand, so it is part of the reproducible state). */
-    template <class Self, class Ar>
-    static void
-    snapFields(Self &self, Ar &ar)
-    {
-        ar.len64(self.counts_);
-        ar.io(self.base_, self.outstanding_);
-        for (auto &c : self.counts_)
-            ar.io(c);
-    }
-
-    void afterRestore() const { SIM_AUDIT_ONLY(auditInvariants();) }
-
-    /**
-     * Count-agreement walk: the cached outstanding total (which MLP
-     * sampling reads every cycle) must equal the sum of all live
-     * buckets. O(horizon); sampled from add() in Audit builds.
-     */
-    void auditInvariants() const
-    {
-        std::size_t sum = 0;
-        for (std::uint32_t c : counts_)
-            sum += c;
-        SIM_ASSERT(sum == outstanding_,
-                   "cycle count ring out of sync: buckets hold ", sum,
-                   " events but outstanding count is ", outstanding_);
-    }
-
-  private:
-    friend struct AuditPeer;
-
-    void
-    grow(std::size_t needed)
-    {
-        std::vector<std::uint32_t> bigger(std::bit_ceil(needed));
-        const std::size_t oldMask = counts_.size() - 1;
-        const std::size_t newMask = bigger.size() - 1;
-        // Live cycles occupy (base_, base_ + oldCapacity]; they stay
-        // distinct modulo the larger power of two.
-        for (std::size_t i = 1; i <= counts_.size(); ++i) {
-            const Cycle cy = base_ + i;
-            bigger[cy & newMask] = counts_[cy & oldMask];
-        }
-        counts_ = std::move(bigger);
-    }
-
-    SIM_SNAPSHOT_FIELDS(4);
-
-    std::vector<std::uint32_t> counts_;
-    Cycle base_ = 0; //!< cursor: cycles <= base_ are expired
-    std::size_t outstanding_ = 0;
     AuditSampler auditTick_{1024};
 };
 

@@ -12,36 +12,19 @@ OracleStream::OracleStream(const Program &program, MemoryImage &memory)
 {
 }
 
-void
-OracleStream::materializeTo(SeqNum seq)
-{
-    while (frontier() <= seq) {
-        SIM_ASSERT(!sawHalt_, "oracle read past Halt (seq ", seq, ")");
-        ExecRecord r = interp_.step();
-        if (r.halt) {
-            sawHalt_ = true;
-            haltSeq_ = r.seq;
-        }
-        window_.push_back(std::move(r));
-    }
-}
-
 const ExecRecord &
 OracleStream::at(SeqNum seq)
 {
     SIM_ASSERT(seq >= base_, "oracle record ", seq,
                " already released (base ", base_, ")");
-    materializeTo(seq);
+    const bool exists = hasRecord(seq); // materializes it
+    SIM_ASSERT(exists, "oracle read past Halt (seq ", seq, ")");
     return window_[seq - base_];
 }
 
 bool
 OracleStream::hasRecord(SeqNum seq)
 {
-    if (seq < frontier())
-        return true;
-    if (sawHalt_)
-        return false;
     // Materialize up to the requested index or the halt, whichever
     // comes first.
     while (frontier() <= seq && !sawHalt_) {

@@ -82,8 +82,6 @@ class OracleStream
     }
 
   private:
-    void materializeTo(SeqNum seq);
-
     SIM_SNAPSHOT_FIELDS(5);
 
     Interpreter interp_;

@@ -101,7 +101,6 @@ Cache::invalidate(Addr addr)
     for (unsigned w = 0; w < ways_; ++w) {
         if (base[w].valid && base[w].lineAddr == line) {
             base[w].valid = false;
-            ++tagGen_;
             return;
         }
     }

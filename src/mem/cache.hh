@@ -153,7 +153,6 @@ class Cache
         victim->ready = fillReady;
         victim->prefetched = isPrefetch;
         touch(*victim);
-        ++tagGen_; // the set's resident lines changed
 
         out.hit = false;
         out.ready = fillReady;
@@ -174,37 +173,32 @@ class Cache
     unsigned ways() const { return ways_; }
     std::size_t numSets() const { return sets_; }
 
-    /**
-     * Monotone counter bumped whenever the set of resident lines
-     * can change (fill or invalidate; LRU touches and dirty marks
-     * don't count). Lets callers memoize probe() results exactly:
-     * a cached answer is valid iff the generation is unchanged.
-     */
-    std::uint64_t tagGeneration() const { return tagGen_; }
+    /** Prefetch fills so far, and demand hits on prefetched lines
+     *  (the prefetcher's accuracy feedback). */
+    std::uint64_t prefFills() const { return prefIssued_; }
+    std::uint64_t prefUseful() const { return prefUseful_; }
 
     /**
-     * Earliest outstanding-miss completion strictly after @p now, or
-     * kNeverCycle with no misses in flight. Prunes expired MSHRs
-     * first — the same prune access() performs, just possibly a few
-     * cycles early, which is harmless: pruneUpTo is monotone and the
-     * ring only feeds backpressure decisions relative to "now".
+     * Drop every MSHR whose miss completed at or before @p now — the
+     * same prune access() performs, just possibly a few cycles
+     * early, which is harmless: pruneUpTo is monotone and the ring
+     * only feeds backpressure decisions relative to "now".
      */
-    Cycle
-    earliestEvent(Cycle now)
-    {
-        mshrs_.pruneUpTo(now);
-        return mshrs_.empty() ? kNeverCycle : mshrs_.earliest();
-    }
+    void pruneMshrs(Cycle now) { mshrs_.pruneUpTo(now); }
 
-    /** Field list: tags, LRU clock, tag generation and the MSHR ring
-     *  (geometry is config-fixed and excluded). */
+    /** Earliest outstanding-miss completion (strictly after the last
+     *  prune), or kNeverCycle with no misses in flight. */
+    Cycle earliestEvent() const { return mshrs_.earliestOrNever(); }
+
+    /** Field list: tags, LRU clock and the MSHR ring (geometry is
+     *  config-fixed and excluded). */
     template <class Self, class Ar>
     static void
     snapFields(Self &self, Ar &ar)
     {
         for (auto &way : self.tags_)
             ar.io(way);
-        ar.io(self.lruClock_, self.tagGen_, self.mshrs_);
+        ar.io(self.lruClock_, self.mshrs_);
     }
 
   private:
@@ -239,7 +233,7 @@ class Cache
                setMask_;
     }
 
-    SIM_SNAPSHOT_FIELDS(18);
+    SIM_SNAPSHOT_FIELDS(17);
 
     std::uint64_t size_;
     unsigned ways_;
@@ -249,7 +243,6 @@ class Cache
     unsigned mshrCap_;
     std::vector<Way> tags_;        // sets_ * ways_, row-major by set
     std::uint64_t lruClock_ = 0;
-    std::uint64_t tagGen_ = 0;
     MonotonicCycleRing mshrs_;
 
     std::uint64_t &accesses_;

@@ -21,7 +21,6 @@ MemLevelProfile::name(unsigned level)
 MemHierarchy::MemHierarchy(const HierarchyConfig &config,
                            StatRegistry &stats)
     : config_(config),
-      stats_(stats),
       l1i_(config.l1i, stats),
       l1d_(config.l1d, stats),
       llc_(config.llc, stats),
@@ -47,11 +46,11 @@ MemHierarchy::llcThenDram(Addr line, bool isWrite, Cycle start,
               case AccessKind::DemandStore:
               case AccessKind::InstrFetch:
                 ++dramDemandReads_;
-                demandMisses_.add(dr.ready);
+                demandMisses_.push(dr.ready);
                 break;
               case AccessKind::WrongPathLoad:
                 ++dramWrongPathReads_;
-                uselessMisses_.add(dr.ready);
+                uselessMisses_.push(dr.ready);
                 break;
               case AccessKind::RunaheadLoad:
                 ++dramRunaheadReads_;
@@ -59,7 +58,7 @@ MemHierarchy::llcThenDram(Addr line, bool isWrite, Cycle start,
                 // they later turn out useful; the PRE controller
                 // reclassifies via its own stats. Here they appear in
                 // the demand queue so MLP reflects overlap on the bus.
-                demandMisses_.add(dr.ready);
+                demandMisses_.push(dr.ready);
                 break;
             }
             return dr.ready;
@@ -162,8 +161,8 @@ MemHierarchy::issuePrefetches(Addr trigger, bool wasLlcMiss, Cycle now)
     }
 
     // Feed accuracy deltas back to the throttle.
-    const std::uint64_t useful = stats_.get("llc.pref_useful");
-    const std::uint64_t issued = stats_.get("llc.pref_fills");
+    const std::uint64_t useful = llc_.prefUseful();
+    const std::uint64_t issued = llc_.prefFills();
     prefetcher_.feedback(useful - lastPrefUseful_,
                          issued - lastPrefIssued_);
     lastPrefUseful_ = useful;
@@ -209,68 +208,43 @@ bool
 MemHierarchy::wouldMissLlc(Addr addr) const
 {
     const Addr line = lineAlign(addr);
-    const std::uint64_t gen =
-        l1d_.tagGeneration() + llc_.tagGeneration();
-    ProbeCacheEntry &e =
-        probeCache_[static_cast<std::size_t>(line >> kLineShift) &
-                    (kProbeCacheSlots - 1)];
-    if (e.line == line && e.gen == gen)
-        return e.miss;
-    const bool miss = !l1d_.probe(line) && !llc_.probe(line);
-    e = {line, gen, miss};
-    SIM_AUDIT_ONLY(if (probeAudit_.due()) auditProbeCache();)
-    return miss;
+    return !l1d_.probe(line) && !llc_.probe(line);
+}
+
+void
+MemHierarchy::pruneCompleted(Cycle now)
+{
+    demandMisses_.pruneUpTo(now);
+    uselessMisses_.pruneUpTo(now);
+    l1i_.pruneMshrs(now);
+    l1d_.pruneMshrs(now);
+    llc_.pruneMshrs(now);
 }
 
 Cycle
 MemHierarchy::earliestEvent(Cycle now)
 {
-    // The MLP counters must be advanced before nextEventCycle() so
-    // the bound is relative to "now"; advanceTo is exactly what the
-    // per-cycle sampler would have done first anyway.
-    demandMisses_.advanceTo(now);
-    uselessMisses_.advanceTo(now);
-    Cycle earliest = std::min(demandMisses_.nextEventCycle(),
-                              uselessMisses_.nextEventCycle());
-    earliest = std::min(earliest, l1i_.earliestEvent(now));
-    earliest = std::min(earliest, l1d_.earliestEvent(now));
-    earliest = std::min(earliest, llc_.earliestEvent(now));
-    return earliest;
-}
-
-void
-MemHierarchy::auditProbeCache() const
-{
-    const std::uint64_t gen =
-        l1d_.tagGeneration() + llc_.tagGeneration();
-    for (std::size_t slot = 0; slot < kProbeCacheSlots; ++slot) {
-        const ProbeCacheEntry &e = probeCache_[slot];
-        if (e.line == ~Addr{0} || e.gen != gen)
-            continue; // empty or orphaned by a fill/invalidate
-        SIM_ASSERT((static_cast<std::size_t>(e.line >> kLineShift) &
-                    (kProbeCacheSlots - 1)) == slot,
-                   "probe cache entry for line ", e.line,
-                   " stored in the wrong slot ", slot);
-        const bool miss = !l1d_.probe(e.line) && !llc_.probe(e.line);
-        SIM_ASSERT(e.miss == miss,
-                   "probe cache entry for line ", e.line,
-                   " disagrees with live tags despite a current "
-                   "generation key");
-    }
+    // Prune first so every bound is strictly after "now"; the MLP
+    // sampler and the next miss would have pruned the same way.
+    pruneCompleted(now);
+    return std::min({demandMisses_.earliestOrNever(),
+                     uselessMisses_.earliestOrNever(),
+                     l1i_.earliestEvent(), l1d_.earliestEvent(),
+                     llc_.earliestEvent()});
 }
 
 unsigned
 MemHierarchy::outstandingDemandMisses(Cycle now)
 {
-    demandMisses_.advanceTo(now);
-    return static_cast<unsigned>(demandMisses_.outstanding());
+    demandMisses_.pruneUpTo(now);
+    return static_cast<unsigned>(demandMisses_.size());
 }
 
 unsigned
 MemHierarchy::outstandingUselessMisses(Cycle now)
 {
-    uselessMisses_.advanceTo(now);
-    return static_cast<unsigned>(uselessMisses_.outstanding());
+    uselessMisses_.pruneUpTo(now);
+    return static_cast<unsigned>(uselessMisses_.size());
 }
 
 } // namespace cdfsim::mem

@@ -16,7 +16,6 @@
 #include <array>
 #include <cstdint>
 
-#include "common/audit.hh"
 #include "common/cycle_ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -108,9 +107,9 @@ class MemHierarchy
     Cycle instrAccess(Addr pc, Cycle now);
 
     /**
-     * Probe-only: would a demand load of @p addr miss the LLC right
-     * now? Used by CDF's Critical Count Table update at retire and
-     * by the full-window-stall classifier. No state is modified.
+     * Probe-only: would a demand load of @p addr miss both the L1D
+     * and the LLC right now? PRE's runahead step uses it to pick the
+     * chain loads worth prefetching. No state is modified.
      */
     bool wouldMissLlc(Addr addr) const;
 
@@ -132,14 +131,14 @@ class MemHierarchy
     Cycle earliestEvent(Cycle now);
 
     /**
-     * Probe-cache/tag agreement walk: every memoized wouldMissLlc()
-     * answer whose tag-generation key is still current must match a
-     * fresh probe of both levels. Stale-generation entries are
-     * unreachable (the lookup rejects them) and are not checked.
-     * Always compiled (cheap: 64 slots); sampled from wouldMissLlc()
-     * in Audit builds.
+     * Drop every completion at or before @p now from the MSHR files
+     * and the MLP counters — the prune earliestEvent() and the MLP
+     * sample perform first. No effect on timing: each ring is only
+     * ever read relative to a "now" no earlier than this one. The
+     * core calls it before handing control back, so a snapshot holds
+     * the same ring contents whatever cycles were ticked or skipped.
      */
-    void auditProbeCache() const;
+    void pruneCompleted(Cycle now);
 
     /** DRAM bytes moved so far. */
     std::uint64_t dramBytes() const { return dram_.totalBytes(); }
@@ -161,9 +160,9 @@ class MemHierarchy
     }
 
     /**
-     * Field list: every level plus the outstanding-miss rings, the
-     * probe memo and the prefetch-feedback cursors. Host-side
-     * profiling state is excluded (it never affects timing).
+     * Field list: every level plus the outstanding-miss rings and
+     * the prefetch-feedback cursors. Host-side profiling state is
+     * excluded (it never affects timing).
      */
     template <class Self, class Ar>
     static void
@@ -171,8 +170,7 @@ class MemHierarchy
     {
         ar.io(self.l1i_, self.l1d_, self.llc_, self.dram_,
               self.prefetcher_, self.demandMisses_, self.uselessMisses_,
-              self.probeCache_, self.lastPrefUseful_,
-              self.lastPrefIssued_);
+              self.lastPrefUseful_, self.lastPrefIssued_);
     }
 
   private:
@@ -189,55 +187,23 @@ class MemHierarchy
     Cycle instrAccessTimed(Addr pc, Cycle now, unsigned &level);
     void recordProfile(unsigned level, std::uint64_t ns);
 
-    SIM_SNAPSHOT_FIELDS(19);
+    SIM_SNAPSHOT_FIELDS(16);
 
     HierarchyConfig config_;
-    StatRegistry &stats_;
     Cache l1i_;
     Cache l1d_;
     Cache llc_;
     DramModel dram_;
     StreamPrefetcher prefetcher_;
 
-    // Outstanding DRAM misses, bucketed by completion cycle. The
-    // MLP sampler reads these every cycle, so the prune must not
-    // scale with the number of misses in flight.
-    CycleCountRing demandMisses_;
-    CycleCountRing uselessMisses_;
-
-    /**
-     * Memoized wouldMissLlc() answers. An entry is exact while the
-     * L1D and LLC tag generations both stand still: any fill or
-     * invalidate bumps a generation and orphans the entry. The two
-     * generations are folded into one key by summing (both only
-     * ever grow, so the sum can never return to an old value).
-     */
-    struct ProbeCacheEntry
-    {
-        Addr line = ~Addr{0}; //!< never a line-aligned address
-        std::uint64_t gen = 0;
-        bool miss = false;
-
-        template <class Self, class Ar>
-        static void
-        snapFields(Self &e, Ar &ar)
-        {
-            ar.io(e.line, e.gen, e.miss);
-        }
-
-        SIM_SNAPSHOT_FIELDS(3);
-    };
-    static constexpr std::size_t kProbeCacheSlots = 64;
-    mutable std::array<ProbeCacheEntry, kProbeCacheSlots> probeCache_{};
+    // Completion cycles of the outstanding DRAM misses. The MLP
+    // sampler reads these every cycle, so the prune must not scale
+    // with the number of misses in flight.
+    MonotonicCycleRing demandMisses_;
+    MonotonicCycleRing uselessMisses_;
 
     bool profileEnabled_ = false;
     MemLevelProfile profile_;
-
-    // Qualified on purpose: an unqualified friend here would declare
-    // a fresh cdfsim::mem::AuditPeer instead of befriending the
-    // test-only backdoor forward-declared in common/audit.hh.
-    friend struct cdfsim::AuditPeer;
-    mutable AuditSampler probeAudit_{4096};
 
     std::uint64_t lastPrefUseful_ = 0;
     std::uint64_t lastPrefIssued_ = 0;

@@ -323,6 +323,10 @@ Core::run(std::uint64_t maxRetired, Cycle maxCycles)
             continue;
         tick();
     }
+    // Ticking and skipping prune the completion rings at different
+    // cycles; settling them here makes a snapshot taken between runs
+    // independent of skipIdleCycles.
+    mem_.pruneCompleted(now_);
     return result();
 }
 

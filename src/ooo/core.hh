@@ -213,8 +213,10 @@ class Core
     /**
      * Serialize the complete architectural + microarchitectural core
      * state (core_snapshot.cc). Host-only measurement state (stage
-     * profile, idle-skip bookkeeping) is excluded, so the payload is
-     * independent of profileStages/skipIdleCycles. The stat registry
+     * profile, idle-skip bookkeeping) is excluded and run() prunes
+     * the memory system's completion rings before it returns, so a
+     * payload saved between runs is byte-independent of
+     * profileStages/skipIdleCycles. The stat registry
      * is NOT included — the owning Simulator snapshots it so the
      * registry is captured exactly once.
      */
@@ -284,6 +286,8 @@ class Core
     void recoverFromBranch(DynInst *branch);
     void dependenceViolationRecovery(SeqNum violTs);
     void memoryOrderViolation(DynInst *load);
+    /** Flush everything younger than @p flushTs and rewind the
+     *  predictor to the oldest squashed branch checkpoint. */
     void squashYoungerThan(SeqNum flushTs);
     /** Restart the regular stream on path at @p ts after a flush. */
     void redirectFetch(SeqNum ts);
@@ -388,7 +392,7 @@ class Core
     static void snapInst(Core &self, SnapReader &r, DynInst *&inst);
 
     // ------------------------------------------------------------------
-    SIM_SNAPSHOT_FIELDS(122);
+    SIM_SNAPSHOT_FIELDS(119);
 
     CoreConfig config_;
     StatRegistry &stats_;
@@ -627,12 +631,6 @@ class Core
     FlatMap<Addr, Addr> lastRetiredLoadAddr_{~Addr{0}};
     Cycle stallStartCycle_ = 0;
     bool stallCounting_ = false;
-
-    // Oldest branch checkpoint found in the last squash, used by the
-    // violation-recovery paths to rewind speculative predictor state.
-    bool squashOldestCkptValid_ = false;
-    SeqNum squashOldestCkptTs_ = 0;
-    bp::BpCheckpoint squashOldestCkpt_;
 
     // Deferred memory-order violation (processed after RS selection).
     DynInst *pendingMemViolation_ = nullptr;

@@ -612,11 +612,12 @@ Core::squashYoungerThan(SeqNum flushTs)
     std::vector<DynInst *> &squashed = squashVictims_;
     squashed.clear();
     bool youngestFirst = true;
-    // Track the oldest squashed branch checkpoint so violation
-    // recoveries can rewind the predictor's speculative history. On
-    // a ts tie the instruction fetched first wins, so the backward
-    // walk lets later-visited ties replace earlier ones.
+    // Track the oldest squashed branch checkpoint: the predictor's
+    // speculative history rewinds to it. On a ts tie the instruction
+    // fetched first wins, so the backward walk lets later-visited
+    // ties replace earlier ones.
     std::uint32_t oldestCkpt = kNoBranchState;
+    SeqNum oldestCkptTs = 0;
     for (std::uint32_t i = inflightTail_; i != kNoInst;
          i = inflightPool_.at(i).prevIdx) {
         DynInst &inst = inflightPool_.at(i);
@@ -628,9 +629,9 @@ Core::squashYoungerThan(SeqNum flushTs)
         squashed.push_back(&inst);
         if (inst.branchState != kNoBranchState &&
             (oldestCkpt == kNoBranchState ||
-             inst.ts <= squashOldestCkptTs_)) {
+             inst.ts <= oldestCkptTs)) {
             oldestCkpt = inst.branchState;
-            squashOldestCkptTs_ = inst.ts;
+            oldestCkptTs = inst.ts;
         }
     }
     // NOTE: even when no in-flight instruction is younger than the
@@ -639,14 +640,15 @@ Core::squashYoungerThan(SeqNum flushTs)
     // wpRecords / BbInfo entries behind without any instruction.
     for (const DbqCheckpoint &c : dbqCkpts_) {
         if (c.ts > flushTs &&
-            (oldestCkpt == kNoBranchState || c.ts < squashOldestCkptTs_)) {
+            (oldestCkpt == kNoBranchState || c.ts < oldestCkptTs)) {
             oldestCkpt = c.state;
-            squashOldestCkptTs_ = c.ts;
+            oldestCkptTs = c.ts;
         }
     }
-    squashOldestCkptValid_ = oldestCkpt != kNoBranchState;
-    if (squashOldestCkptValid_)
-        squashOldestCkpt_ = branchStates_.at(oldestCkpt).ckpt;
+    // Rewind before the state is freed below. Branch recovery then
+    // overwrites the whole predictor state with its own checkpoint.
+    if (oldestCkpt != kNoBranchState)
+        bp_.restore(branchStates_.at(oldestCkpt).ckpt);
     // Completion heap: drain in heap order, keep survivors. The
     // drained sequence is ascending, so the survivor vector is
     // already a valid min-heap with exactly the layout the old
@@ -836,8 +838,6 @@ Core::dependenceViolationRecovery(SeqNum violTs)
     ++statDepViolations_;
     SIM_ASSERT(violTs > 0, "dependence violation at ts 0");
     squashYoungerThan(violTs - 1);
-    if (squashOldestCkptValid_)
-        bp_.restore(squashOldestCkpt_);
     abortCdfMode();
     redirectFetch(violTs);
 }
@@ -857,8 +857,6 @@ Core::memoryOrderViolation(DynInst *load)
     if (cdfMode_ && nextFetchTs_ < t)
         t = std::max<SeqNum>(nextFetchTs_, 1);
     squashYoungerThan(t - 1);
-    if (squashOldestCkptValid_)
-        bp_.restore(squashOldestCkpt_);
     abortCdfMode();
     redirectFetch(t);
 }

@@ -14,8 +14,8 @@
  *   - the full-window-stall classification at the retire tail
  *     (fullWindowStallCycles_ / stallCounting_),
  *   - the every-cycle MLP sample (outstanding DRAM miss counts are
- *     constant across the window because the jump never crosses a
- *     CycleCountRing event — RunningMean::addRepeated is exact for
+ *     constant across the window because the jump never crosses an
+ *     MLP-ring completion — RunningMean::addRepeated is exact for
  *     integral values),
  *   - the partition stall counter a blocked rename charges
  *     (SectionPartition::noteStall with the window length).

@@ -125,8 +125,6 @@ Core::snapFields(Self &self, Ar &ar)
           self.stallStartCycle_, self.stallCounting_);
 
     // Squash/violation deferred state.
-    ar.io(self.squashOldestCkptValid_, self.squashOldestCkptTs_,
-          self.squashOldestCkpt_);
     inst(ar, self.pendingMemViolation_);
     ar.io(self.pendingDepViolationTs_);
 

@@ -36,8 +36,12 @@ namespace cdfsim::sim
  *  2: branch checkpoints moved from DynInst into the core's
  *  branch-state pool; DBQ checkpoints hold pool handles.
  *  3: one wrong-path walker and one regular-fetch cursor in the
- *  core (the CDF-only cursor and walkers went). */
-inline constexpr std::uint32_t kCheckpointSchemaVersion = 3;
+ *  core (the CDF-only cursor and walkers went).
+ *  4: the MLP counters are sorted completion rings like the MSHR
+ *  files, pruned to the current cycle before a run returns; the LLC
+ *  probe memo, the caches' tag generations and the core's copy of
+ *  the last squash's oldest branch checkpoint went. */
+inline constexpr std::uint32_t kCheckpointSchemaVersion = 4;
 
 /** A complete post-warmup simulator state. */
 struct Checkpoint

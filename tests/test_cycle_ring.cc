@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the cycle ring buffers behind the MSHR file and the
- * hierarchy's outstanding-miss counters. The rings replaced plain
+ * Unit tests for the cycle ring behind the MSHR files and the
+ * hierarchy's outstanding-miss counters. The ring replaced plain
  * vectors with erase_if + min-scan, so most tests here cross-check
  * against exactly that naive model, including under fuzzed inputs —
  * any divergence would show up as a stat-gate break in the simulator.
@@ -121,86 +121,67 @@ TEST(MonotonicCycleRing, FuzzAgainstVectorModel)
     }
 }
 
-// --- CycleCountRing ---
+// --- The MLP-counter usage: prune to "now", then read size() ---
 
-TEST(CycleCountRing, AddAdvanceOutstanding)
-{
-    CycleCountRing r(8);
-    r.add(5);
-    r.add(5);
-    r.add(7);
-    EXPECT_EQ(r.outstanding(), 3u);
-    r.advanceTo(4);
-    EXPECT_EQ(r.outstanding(), 3u);
-    r.advanceTo(5); // boundary: both events at 5 expire
-    EXPECT_EQ(r.outstanding(), 1u);
-    r.advanceTo(7);
-    EXPECT_EQ(r.outstanding(), 0u);
-}
-
-TEST(CycleCountRing, EventsAtOrBeforeCursorAreDropped)
-{
-    CycleCountRing r(8);
-    r.advanceTo(100);
-    r.add(100); // already expired relative to the cursor
-    r.add(99);
-    EXPECT_EQ(r.outstanding(), 0u);
-    r.add(101);
-    EXPECT_EQ(r.outstanding(), 1u);
-}
-
-TEST(CycleCountRing, NonMonotoneAdvanceIsSticky)
+TEST(MonotonicCycleRing, NonMonotonePruneIsSticky)
 {
     // The old erase_if model never resurrected entries when queried
-    // with an earlier cycle; the cursor must behave the same way.
-    CycleCountRing r(8);
-    r.add(10);
-    r.advanceTo(10);
-    EXPECT_EQ(r.outstanding(), 0u);
-    r.advanceTo(3); // no-op, not a rewind
-    EXPECT_EQ(r.cursor(), 10u);
-    r.add(12);
-    EXPECT_EQ(r.outstanding(), 1u);
+    // with an earlier cycle; the ring must behave the same way.
+    MonotonicCycleRing r(8);
+    r.push(10);
+    r.pruneUpTo(10);
+    EXPECT_TRUE(r.empty());
+    r.pruneUpTo(3); // no-op, not a rewind
+    EXPECT_TRUE(r.empty());
+    r.push(12);
+    r.pruneUpTo(3);
+    EXPECT_EQ(r.size(), 1u);
+    EXPECT_EQ(r.earliest(), 12u);
 }
 
-TEST(CycleCountRing, GrowsForFarFutureCompletions)
+TEST(MonotonicCycleRing, LatePushExpiresAtNextPrune)
 {
-    CycleCountRing r(4);
-    ASSERT_EQ(r.horizon(), 4u);
-    r.add(2);
-    r.add(3);
-    r.add(5000); // far beyond the horizon: forces a re-bucket
-    EXPECT_GE(r.horizon(), 5000u);
-    EXPECT_EQ(r.outstanding(), 3u);
-    r.advanceTo(3);
-    EXPECT_EQ(r.outstanding(), 1u);
-    r.advanceTo(5000);
-    EXPECT_EQ(r.outstanding(), 0u);
+    // A completion at or before the last prune is already over: the
+    // next sample at that cycle must not count it.
+    MonotonicCycleRing r(8);
+    r.pruneUpTo(100);
+    r.push(100);
+    r.push(99);
+    r.pruneUpTo(100);
+    EXPECT_TRUE(r.empty());
+    r.push(101);
+    r.pruneUpTo(100);
+    EXPECT_EQ(r.size(), 1u);
 }
 
-TEST(CycleCountRing, SurvivesManyRevolutions)
+TEST(MonotonicCycleRing, KeepsFarFutureCompletions)
 {
-    CycleCountRing r(4);
-    Cycle now = 0;
-    for (int lap = 0; lap < 10000; ++lap) {
-        r.add(now + 2);
-        r.add(now + 3);
-        r.advanceTo(now + 2);
-        EXPECT_EQ(r.outstanding(), 1u);
-        now += 3;
-        r.advanceTo(now);
-        EXPECT_EQ(r.outstanding(), 0u);
-    }
-    EXPECT_EQ(r.horizon(), 4u); // tight horizon never grew
+    // DRAM bank queueing can put a completion thousands of cycles
+    // out; the ring holds it however far ahead it lands.
+    MonotonicCycleRing r(4);
+    r.push(2);
+    r.push(3);
+    r.push(5000);
+    EXPECT_EQ(r.size(), 3u);
+    EXPECT_EQ(r.capacity(), 4u); // far-future does not mean growth
+    r.pruneUpTo(3);
+    EXPECT_EQ(r.size(), 1u);
+    EXPECT_EQ(r.earliestOrNever(), 5000u);
+    r.pruneUpTo(4999);
+    EXPECT_EQ(r.size(), 1u);
+    r.pruneUpTo(5000);
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.earliestOrNever(), kNeverCycle);
 }
 
-TEST(CycleCountRing, FuzzAgainstVectorModel)
+TEST(MonotonicCycleRing, FuzzSampledEveryCycleAgainstVectorModel)
 {
     // The hierarchy's outstanding-miss queues used to be vectors of
     // completion cycles with erase_if(c <= now) on every sample;
-    // outstanding() must match that count exactly under arbitrary
-    // interleavings of adds, samples, and idle stretches.
-    CycleCountRing r(2);
+    // size() after pruneUpTo(now) must match that count exactly
+    // under arbitrary interleavings of pushes, samples and idle
+    // stretches, and earliestOrNever() must give the next change.
+    MonotonicCycleRing r(2);
     std::vector<Cycle> model;
     Random rng(0xFEED);
     Cycle now = 0;
@@ -210,18 +191,23 @@ TEST(CycleCountRing, FuzzAgainstVectorModel)
             now += rng.below(300); // idle gap, possibly huge
         } else if (action == 1) {
             // Occasionally a completion far in the future (DRAM
-            // bank-queue drift) to force growth mid-run.
+            // bank-queue drift).
             const Cycle c = now + 1 + rng.below(5000);
-            r.add(c);
+            r.push(c);
             model.push_back(c);
         } else {
             const Cycle c = now + 1 + rng.below(250);
-            r.add(c);
+            r.push(c);
             model.push_back(c);
         }
-        r.advanceTo(now);
+        r.pruneUpTo(now);
         std::erase_if(model, [&](Cycle c) { return c <= now; });
-        ASSERT_EQ(r.outstanding(), model.size()) << "step " << step;
+        ASSERT_EQ(r.size(), model.size()) << "step " << step;
+        ASSERT_EQ(r.earliestOrNever(),
+                  model.empty()
+                      ? kNeverCycle
+                      : *std::min_element(model.begin(), model.end()))
+            << "step " << step;
         ++now;
     }
 }

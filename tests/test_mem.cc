@@ -404,11 +404,10 @@ TEST(Hierarchy, WouldMissLlcProbeIsSilent)
 
 TEST(Hierarchy, WouldMissLlcSeesEvictions)
 {
-    // The probe result is memoized; any fill or invalidation in L1D
-    // or the LLC must make a stale memo unusable. Evict the probed
-    // line by walking conflicting lines through both caches (stride
-    // of one LLC set revolution also conflicts in L1D) and check the
-    // classifier flips back to "miss".
+    // The probe reads the live tags of L1D and the LLC. Evict the
+    // probed line by walking conflicting lines through both caches
+    // (stride of one LLC set revolution also conflicts in L1D) and
+    // check the classifier flips back to "miss".
     StatRegistry s;
     HierarchyConfig cfg;
     cfg.prefetcherEnabled = false;
@@ -426,7 +425,7 @@ TEST(Hierarchy, WouldMissLlcSeesEvictions)
         t = r.ready + 1;
     }
     EXPECT_TRUE(mem.wouldMissLlc(a));
-    // And a re-fill flips it again, through the same memo slot.
+    // And a re-fill flips it again.
     mem.dataAccess(a, AccessKind::DemandLoad, t);
     EXPECT_FALSE(mem.wouldMissLlc(a));
 }
