@@ -9,70 +9,14 @@ CriticalCountTable::CriticalCountTable(const CriticalTableConfig &config,
                                        StatRegistry &stats,
                                        const std::string &name)
     : config_(config),
-      sets_(config.entries / config.ways),
+      table_(config.entries, config.ways,
+             ("critical count table '" + name + "'").c_str()),
       updates_(stats.counter(name + ".updates")),
       allocations_(stats.counter(name + ".allocations"))
 {
-    if (sets_ == 0)
-        fatal("critical count table '", name, "': zero sets");
-    entries_.resize(config.entries);
-    for (auto &e : entries_) {
+    for (auto &e : table_.entries()) {
         e.strict = SatCounter(config.strictBits);
         e.permissive = SatCounter(config.permissiveBits);
-    }
-}
-
-const CriticalCountTable::Entry *
-CriticalCountTable::find(Addr pc) const
-{
-    const Entry *base = &entries_[setOf(pc) * config_.ways];
-    for (unsigned w = 0; w < config_.ways; ++w) {
-        if (base[w].valid && base[w].tag == pc)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-CriticalCountTable::Entry &
-CriticalCountTable::findOrAllocate(Addr pc)
-{
-    Entry *base = &entries_[setOf(pc) * config_.ways];
-    Entry *victim = base;
-    for (unsigned w = 0; w < config_.ways; ++w) {
-        if (base[w].valid && base[w].tag == pc)
-            return base[w];
-        if (!base[w].valid) {
-            victim = &base[w];
-        } else if (victim->valid && base[w].lruTick < victim->lruTick) {
-            victim = &base[w];
-        }
-    }
-    ++allocations_;
-    victim->valid = true;
-    victim->tag = pc;
-    victim->strict = SatCounter(config_.strictBits);
-    victim->permissive = SatCounter(config_.permissiveBits);
-    return *victim;
-}
-
-void
-CriticalCountTable::auditInvariants() const
-{
-    for (std::size_t set = 0; set < sets_; ++set) {
-        const Entry *base = &entries_[set * config_.ways];
-        for (unsigned w = 0; w < config_.ways; ++w) {
-            const Entry &e = base[w];
-            if (!e.valid)
-                continue;
-            SIM_ASSERT(setOf(e.tag) == set,
-                       "CCT entry tag hashes outside its set");
-            SIM_ASSERT(e.lruTick <= tick_,
-                       "CCT entry LRU stamp ahead of the clock");
-            for (unsigned v = w + 1; v < config_.ways; ++v) {
-                SIM_ASSERT(!base[v].valid || base[v].tag != e.tag,
-                           "duplicate valid CCT tag within a set");
-            }
-        }
     }
 }
 
@@ -84,8 +28,13 @@ CriticalCountTable::update(Addr pc, bool negativeEvent)
         if (audit_.due())
             auditInvariants();
     });
-    Entry &e = findOrAllocate(pc);
-    e.lruTick = ++tick_;
+    auto [e, hit] = table_.findOrVictim(pc);
+    if (!hit) {
+        ++allocations_;
+        e = {true, pc, SatCounter(config_.strictBits),
+             SatCounter(config_.permissiveBits)};
+    }
+    table_.stamp(e);
     if (negativeEvent) {
         e.strict.increment(config_.missInc);
         e.permissive.increment(config_.missInc);
@@ -104,7 +53,7 @@ CriticalCountTable::isCritical(Addr pc) const
 bool
 CriticalCountTable::isCriticalUnder(Addr pc, ThresholdMode mode) const
 {
-    const Entry *e = find(pc);
+    const Entry *e = table_.find(pc);
     if (!e)
         return false;
     if (mode == ThresholdMode::Strict)

@@ -15,8 +15,9 @@
 #define CDFSIM_CDF_CRITICAL_TABLE_HH
 
 #include <cstdint>
-#include <vector>
+#include <string>
 
+#include "cdf/set_assoc.hh"
 #include "common/audit.hh"
 #include "common/sat_counter.hh"
 #include "common/serialize.hh"
@@ -88,7 +89,7 @@ class CriticalCountTable
      * the allocation clock. Always compiled (the table is tiny);
      * sampled from update() in Audit builds.
      */
-    void auditInvariants() const;
+    void auditInvariants() const { table_.auditInvariants("CCT"); }
 
     /** Field list: entries and the threshold/LRU state (geometry and
      *  counter widths are config-fixed and excluded). */
@@ -96,9 +97,7 @@ class CriticalCountTable
     static void
     snapFields(Self &self, Ar &ar)
     {
-        for (auto &e : self.entries_)
-            ar.io(e);
-        ar.io(self.tick_, self.mode_);
+        ar.io(self.table_, self.mode_);
     }
 
   private:
@@ -120,16 +119,10 @@ class CriticalCountTable
         SIM_SNAPSHOT_FIELDS(5);
     };
 
-    std::size_t setOf(Addr pc) const { return pc % sets_; }
-    const Entry *find(Addr pc) const;
-    Entry &findOrAllocate(Addr pc);
-
-    SIM_SNAPSHOT_FIELDS(8);
+    SIM_SNAPSHOT_FIELDS(6);
 
     CriticalTableConfig config_;
-    std::size_t sets_;
-    std::vector<Entry> entries_;
-    std::uint64_t tick_ = 0;
+    SetAssocArray<Entry> table_;
     ThresholdMode mode_ = ThresholdMode::Strict;
 
     // Qualified on purpose: an unqualified friend would declare a

@@ -14,8 +14,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
+#include "cdf/set_assoc.hh"
 #include "common/audit.hh"
 #include "common/serialize.hh"
 #include "common/stats.hh"
@@ -72,7 +72,7 @@ class MaskCache
      * the allocation clock. Always compiled (the cache is tiny);
      * sampled from merge() in Audit builds.
      */
-    void auditInvariants() const;
+    void auditInvariants() const { table_.auditInvariants("mask cache"); }
 
     /** Field list: entries and the LRU/reset clocks (geometry is
      *  config-fixed and excluded). */
@@ -80,9 +80,7 @@ class MaskCache
     static void
     snapFields(Self &self, Ar &ar)
     {
-        for (auto &e : self.entries_)
-            ar.io(e);
-        ar.io(self.tick_, self.lastReset_);
+        ar.io(self.table_, self.lastReset_);
     }
 
   private:
@@ -103,14 +101,10 @@ class MaskCache
         SIM_SNAPSHOT_FIELDS(4);
     };
 
-    std::size_t setOf(Addr pc) const { return pc % sets_; }
-
-    SIM_SNAPSHOT_FIELDS(9);
+    SIM_SNAPSHOT_FIELDS(7);
 
     MaskCacheConfig config_;
-    std::size_t sets_;
-    std::vector<Entry> entries_;
-    std::uint64_t tick_ = 0;
+    SetAssocArray<Entry> table_;
     std::uint64_t lastReset_ = 0;
 
     // Qualified on purpose: an unqualified friend would declare a

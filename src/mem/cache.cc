@@ -113,7 +113,7 @@ Cache::markDirty(Addr addr)
     Way *base = &tags_[setIndex(line) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
         if (base[w].valid && base[w].lineAddr == line) {
-            base[w].dirty = true; // presence unchanged: no gen bump
+            base[w].dirty = true; // presence and LRU order unchanged
             return;
         }
     }

@@ -444,8 +444,8 @@ Core::criticalFetchIdle() const
 /**
  * Where the regular stream's next record comes from: the oracle at
  * nextFetchTs_ while on path (in CDF mode only what critical fetch
- * already covered), past a misprediction the walker at wrongPathPc_
- * outside CDF mode or the records critical fetch buffered in it. A
+ * already covered), past a misprediction wpRecords_ (outside CDF mode
+ * this stream walks the next record into it at wrongPathPc_). A
  * branch in CDF mode also needs its DBQ entry: the regular stream
  * replays critical fetch's prediction instead of making its own.
  */
@@ -460,11 +460,10 @@ Core::regularFetchReady()
             return oracle_.hasRecord(nextFetchTs_) ? RegularFetch::Record
                                                    : RegularFetch::OracleDry;
         }
-        // Fetching garbage or a halt: stall until recovery.
-        const isa::Program &prog = oracle_.program();
-        return prog.validPc(wrongPathPc_) && !prog.at(wrongPathPc_).isHalt()
-                   ? RegularFetch::Record
-                   : RegularFetch::Wait;
+        // Fetching garbage or a halt: stall until recovery. A record
+        // buffered across the I-cache gate is still at wrongPathPc_.
+        return walkable(wrongPathPc_) ? RegularFetch::Record
+                                      : RegularFetch::Wait;
     }
 
     // Graceful exit: the regular stream caught up with the critical
@@ -474,17 +473,12 @@ Core::regularFetchReady()
         wpDrained)
         return RegularFetch::CdfExit;
 
-    const isa::ExecRecord *rec;
-    if (!wrongPath_) {
-        if (nextFetchTs_ >= critCoveredUpTo_)
-            return RegularFetch::Wait; // the critical fetch leads
-        rec = &oracle_.at(nextFetchTs_);
-    } else {
-        if (wpDrained)
-            return RegularFetch::Wait; // wait for the critical walker
-        rec = &wpRecords_[wpConsumeIdx_].rec;
-    }
-    if (rec->uop.isBranch() && dbq_->empty())
+    // Critical fetch leads on path and walks the wrong path.
+    if (wrongPath_ ? wpDrained : nextFetchTs_ >= critCoveredUpTo_)
+        return RegularFetch::Wait;
+    const isa::ExecRecord &rec = wrongPath_ ? wpRecords_[wpConsumeIdx_].rec
+                                            : oracle_.at(nextFetchTs_);
+    if (rec.uop.isBranch() && dbq_->empty())
         return RegularFetch::Wait; // no direction to follow yet
     return RegularFetch::Record;
 }
@@ -514,39 +508,32 @@ Core::fetchRegular(unsigned &budget)
         }
 
         const bool onPath = !wrongPath_;
-        isa::ExecRecord rec;
-        SeqNum ts;
-        bool critical = false;
-        if (onPath) {
-            ts = nextFetchTs_;
-            rec = oracle_.at(ts);
-            if (cdfMode_) {
-                // Criticality bits from the BB info queue.
-                while (!bbInfoQ_.empty()) {
-                    const BbInfo &bi = bbInfoQ_.front();
-                    if (ts >= bi.baseTs + bi.critBits.size()) {
-                        bbInfoQ_.pop_front();
-                        continue;
-                    }
-                    if (ts >= bi.baseTs)
-                        critical = bi.critBits[ts - bi.baseTs];
-                    break;
-                }
-            } else if (fetchAtBbStart_) {
-                // CDF entry check at basic-block starts.
-                maybeEnterCdfMode(rec.pc, ts);
-                if (cdfMode_)
-                    return;
-            }
-        } else if (cdfMode_) {
-            const WpRecord &w = wpRecords_[wpConsumeIdx_];
-            rec = w.rec;
-            ts = w.ts;
-            critical = w.critical;
-        } else {
-            rec = walker_.execute(wrongPathPc_);
-            ts = ++wrongPathTs_;
+        if (!onPath && !cdfMode_ && wpConsumeIdx_ == wpRecords_.size()) {
+            // Outside CDF mode this stream walks its own wrong path,
+            // one record deep (each branch's prediction picks the next
+            // PC); the record waits here until the I-cache gate passes.
+            wpRecords_.assign(1, {walker_.execute(wrongPathPc_),
+                                  nextWrongPathTs_++});
+            wpConsumeIdx_ = 0;
         }
+        const WpRecord *wp = onPath ? nullptr : &wpRecords_[wpConsumeIdx_];
+        const SeqNum ts = onPath ? nextFetchTs_ : wp->ts;
+        const isa::ExecRecord &rec = onPath ? oracle_.at(ts) : wp->rec;
+
+        if (onPath && !cdfMode_ && fetchAtBbStart_) {
+            // CDF entry check at basic-block starts.
+            maybeEnterCdfMode(rec.pc, ts);
+            if (cdfMode_)
+                return;
+        }
+
+        // Criticality bits critical fetch published for this block
+        // (none outside CDF mode).
+        while (!bbInfoQ_.empty() && ts >= bbInfoQ_.front().end())
+            bbInfoQ_.pop_front();
+        const BbInfo *bb = bbInfoQ_.empty() ? nullptr : &bbInfoQ_.front();
+        const bool critical =
+            bb && ts >= bb->baseTs && bb->critBits[ts - bb->baseTs];
 
         if (!icacheGate(rec.pc, budget))
             return;
@@ -620,12 +607,10 @@ Core::fetchRegular(unsigned &budget)
                 inst->mispredicted = wrong && !critical;
                 if (wrong) {
                     wrongPath_ = true;
-                    if (!cdfMode_) {
-                        // Outside CDF mode this stream walks its own
-                        // wrong path from the divergence.
-                        wrongPathTs_ = ts;
-                        walker_.restart(oracle_.frontierRegs());
-                    }
+                    // In CDF mode critical fetch already diverged here
+                    // and walks the wrong path for both streams.
+                    if (!cdfMode_)
+                        beginWrongPath(ts);
                 }
             }
             fetchAtBbStart_ = true;
@@ -641,7 +626,7 @@ Core::fetchRegular(unsigned &budget)
         // Advance the cursor of the source the record came from.
         if (onPath)
             nextFetchTs_ = ts + 1;
-        else if (cdfMode_)
+        else
             ++wpConsumeIdx_;
         if (wrongPath_ && !cdfMode_)
             wrongPathPc_ = followPc;
@@ -653,14 +638,27 @@ Core::fetchRegular(unsigned &budget)
     }
 }
 
+void
+Core::beginWrongPath(SeqNum branchTs)
+{
+    walker_.restart(oracle_.frontierRegs());
+    nextWrongPathTs_ = branchTs + 1;
+}
+
+bool
+Core::walkable(Addr pc) const
+{
+    const isa::Program &prog = oracle_.program();
+    return prog.validPc(pc) && !prog.at(pc).isHalt();
+}
+
 bool
 Core::walkBlock(const cdf::BbTrace &trace)
 {
-    const isa::Program &prog = oracle_.program();
     walkedBlock_.clear();
     for (unsigned off = 0; off < trace.blockLength; ++off) {
         const Addr pc = trace.startPc + off;
-        if (!prog.validPc(pc) || prog.at(pc).isHalt())
+        if (!walkable(pc))
             return false;
         walkedBlock_.push_back(walker_.execute(pc));
     }
@@ -697,6 +695,23 @@ Core::auditFrontend() const
     SIM_ASSERT(wpConsumeIdx_ <= wpRecords_.size(),
                "wrong-path consume index ", wpConsumeIdx_,
                " is past the ", wpRecords_.size(), " buffered records");
+
+    for (std::size_t i = 1; i < bbInfoQ_.size(); ++i) {
+        SIM_ASSERT(bbInfoQ_[i - 1].end() <= bbInfoQ_[i].baseTs,
+                   "criticality block at ts ", bbInfoQ_[i].baseTs,
+                   " overlaps the one before it");
+    }
+    // In CDF mode every wrong-path record critical fetch buffered
+    // has its block's criticality bits published.
+    std::size_t b = 0;
+    for (std::size_t i = wpConsumeIdx_; cdfMode_ && i < wpRecords_.size();
+         ++i) {
+        const SeqNum ts = wpRecords_[i].ts;
+        while (b < bbInfoQ_.size() && ts >= bbInfoQ_[b].end())
+            ++b;
+        SIM_ASSERT(b < bbInfoQ_.size() && ts >= bbInfoQ_[b].baseTs,
+                   "wrong-path record ts ", ts, " is in no criticality block");
+    }
 }
 
 void

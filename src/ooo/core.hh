@@ -203,10 +203,11 @@ class Core
      * exactly while one of its three users holds it (the baseline
      * wrong path, the CDF critical stream off path, a runahead
      * episode), frontQ_ and critQ_ are strictly ts-ordered (the
-     * squash truncation relies on it), and wpRecords_ is strictly
-     * ts-ordered with its consume index in range. Always compiled;
-     * sampled from the fetch stage in Audit builds and run after
-     * every restore.
+     * squash truncation relies on it), wpRecords_ is strictly
+     * ts-ordered with its consume index in range, and bbInfoQ_'s
+     * blocks are disjoint and ts-ordered, covering (in CDF mode) every
+     * unconsumed wrong-path record. Always compiled; sampled from the
+     * fetch stage in Audit builds and run after every restore.
      */
     void auditFrontend() const;
 
@@ -291,13 +292,18 @@ class Core
     void squashYoungerThan(SeqNum flushTs);
     /** Restart the regular stream on path at @p ts after a flush. */
     void redirectFetch(SeqNum ts);
+    /** Diverge at the mispredicted branch @p branchTs: restart the
+     *  walker and number wrong-path records from branchTs + 1. */
+    void beginWrongPath(SeqNum branchTs);
+    /** Can the walker execute the uop at @p pc (valid, not a halt)? */
+    bool walkable(Addr pc) const;
 
     // --- CDF mode control ---
     void maybeEnterCdfMode(Addr pc, SeqNum seq);
     void drainCriticalFrontend();
-    /** Empty the state critical fetch hands the regular stream and
-     *  put critical fetch back on path. */
-    void resetCriticalFetch();
+    /** Put critical fetch on path at the block at @p pc, whose first
+     *  uop is @p ts, with no wrong-path record buffered. */
+    void restartCriticalFetch(Addr pc, SeqNum ts);
     void beginCdfExit();
     void finishCdfExit();
     void abortCdfMode();
@@ -392,7 +398,7 @@ class Core
     static void snapInst(Core &self, SnapReader &r, DynInst *&inst);
 
     // ------------------------------------------------------------------
-    SIM_SNAPSHOT_FIELDS(119);
+    SIM_SNAPSHOT_FIELDS(117);
 
     CoreConfig config_;
     StatRegistry &stats_;
@@ -402,7 +408,7 @@ class Core
      *  critical stream's wrong path in it, or a runahead episode. */
     isa::WrongPathWalker walker_;
     /** Records of the last block walkBlock() executed: the runahead
-     *  chain's values, or a critical wrong-path block being buffered. */
+     *  chain's values, or the critical wrong-path block being fetched. */
     std::vector<isa::ExecRecord> walkedBlock_;
     mem::MemHierarchy mem_;
     bp::BranchPredictor bp_;
@@ -479,7 +485,7 @@ class Core
     SeqNum nextFetchTs_ = 0;         //!< next on-path oracle index
     bool wrongPath_ = false;         //!< past a mispredicted branch
     Addr wrongPathPc_ = 0;           //!< walker's next PC (non-CDF)
-    SeqNum wrongPathTs_ = 0;         //!< last wrong-path ts (non-CDF)
+    SeqNum nextWrongPathTs_ = 0;     //!< ts of the next walked record
     Cycle fetchStallUntil_ = 0;
     Addr lastFetchLine_ = ~Addr{0};
     bool fetchDoneHalt_ = false;
@@ -545,19 +551,18 @@ class Core
 
     /** First ts NOT yet covered by a critical-fetch-processed BB. */
     SeqNum critCoveredUpTo_ = 0;
-    /** Next wrong-path ts the critical fetch will assign. */
-    SeqNum critWpNextTs_ = 0;
-    /** wpRecords_ index of the current wrong-path BB's first uop. */
-    std::size_t critWpBbBase_ = 0;
 
     /** Critical-stream instructions by ts (for CMQ replay transfer). */
     FlatMap<SeqNum, DynInst *> criticalByTs_{kInvalidSeq};
 
-    /** Per-BB criticality bits handed from critical to regular fetch. */
+    /** Per-BB criticality bits handed from critical to regular
+     *  fetch, on path and off; ts-ascending, blocks disjoint. */
     struct BbInfo
     {
         SeqNum baseTs;
         std::vector<bool> critBits;
+
+        SeqNum end() const { return baseTs + critBits.size(); }
 
         template <class Self, class Ar>
         static void
@@ -571,23 +576,22 @@ class Core
     };
     std::deque<BbInfo> bbInfoQ_;
 
-    // Wrong-path records produced by critical fetch for the regular
-    // stream to consume (both streams share one divergence); strictly
-    // ts-ordered.
+    // The regular stream's only wrong-path record source, strictly
+    // ts-ordered: filled a block at a time by critical fetch in CDF
+    // mode (one divergence for both streams), else a record at a time.
     struct WpRecord
     {
         isa::ExecRecord rec;
         SeqNum ts;
-        bool critical;
 
         template <class Self, class Ar>
         static void
         snapFields(Self &w, Ar &ar)
         {
-            ar.io(w.rec, w.ts, w.critical);
+            ar.io(w.rec, w.ts);
         }
 
-        SIM_SNAPSHOT_FIELDS(3);
+        SIM_SNAPSHOT_FIELDS(2);
     };
     std::vector<WpRecord> wpRecords_;
     std::size_t wpConsumeIdx_ = 0;

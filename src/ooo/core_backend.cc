@@ -812,15 +812,9 @@ Core::recoverFromBranch(DynInst *branch)
                 dbq_->at(i).target = branch->actualTarget;
             }
         }
-        critOnPath_ = true;
-        critWpStuck_ = false;
-        critTraceValid_ = false;
-        critTraceIdx_ = 0;
-        critFetchPc_ = branch->actualTarget;
-        critFetchBaseTs_ = branch->ts + 1;
-        critCoveredUpTo_ = branch->ts + 1;
-        wpRecords_.clear();
-        wpConsumeIdx_ = 0;
+        // bbInfoQ_ and dbqCkpts_ keep the entries older than the
+        // branch; the squash dropped the rest.
+        restartCriticalFetch(branch->actualTarget, branch->ts + 1);
         cdfDraining_ = false;
         // The regular stream may not have reached the branch yet.
         resumeTs = std::min(resumeTs, nextFetchTs_);

@@ -74,6 +74,8 @@ Core::maybeEnterCdfMode(Addr pc, SeqNum seq)
     SIM_ASSERT(dbq_->empty(), "stale DBQ entries at CDF entry: ",
                dbq_->size(), " oldest ts ",
                dbq_->empty() ? 0 : dbq_->front().ts);
+    SIM_ASSERT(bbInfoQ_.empty() && dbqCkpts_.empty(),
+               "stale criticality blocks or DBQ checkpoints at CDF entry");
 
     cdfMode_ = true;
     cdfDraining_ = false;
@@ -84,11 +86,7 @@ Core::maybeEnterCdfMode(Addr pc, SeqNum seq)
 
     // The regular stream keeps its cursor (nextFetchTs_ == seq, on
     // path); critical fetch starts at the same block.
-    critFetchPc_ = pc;
-    critFetchBaseTs_ = seq;
-    critTraceIdx_ = 0;
-    critCoveredUpTo_ = seq;
-    resetCriticalFetch();
+    restartCriticalFetch(pc, seq);
     criticalByTs_.clear();
 
     applyPartitionCaps();
@@ -139,16 +137,18 @@ Core::drainCriticalFrontend()
 }
 
 void
-Core::resetCriticalFetch()
+Core::restartCriticalFetch(Addr pc, SeqNum ts)
 {
+    critFetchPc_ = pc;
+    critFetchBaseTs_ = ts;
+    critCoveredUpTo_ = ts;
     critOnPath_ = true;
     walker_.deactivate(); // in CDF mode only critical fetch holds it
     critTraceValid_ = false;
+    critTraceIdx_ = 0;
     critWpStuck_ = false;
     wpRecords_.clear();
     wpConsumeIdx_ = 0;
-    bbInfoQ_.clear();
-    clearDbqCkpts();
 }
 
 /**
@@ -164,7 +164,11 @@ Core::finishCdfExit()
     cdfMode_ = false;
     cdfDraining_ = false;
     drainCriticalFrontend();
-    resetCriticalFetch();
+    // Nothing critical fetch handed the regular stream outlives the
+    // episode: outside CDF mode the criticality queue stays empty.
+    restartCriticalFetch(critFetchPc_, critCoveredUpTo_);
+    bbInfoQ_.clear();
+    clearDbqCkpts();
     rat_.clearAllPoison();
     fetchAtBbStart_ = true;
     // Note: the CMQ may still hold entries for critical uops that
@@ -211,30 +215,25 @@ Core::fetchCriticalCdf(unsigned &budget)
 
             if (!critOnPath_) {
                 // Wrong path: functionally walk the whole block now
-                // so the regular stream has records to consume.
+                // so the regular stream has records to consume; they
+                // stay in walkedBlock_ while this block is fetched.
                 // Commit records only if the whole block is walkable.
                 if (!walkBlock(critTrace_)) {
                     critTraceValid_ = false;
                     critWpStuck_ = true;
                     return;
                 }
-                critWpBbBase_ = wpRecords_.size();
                 for (const isa::ExecRecord &rec : walkedBlock_)
-                    wpRecords_.push_back({rec, critWpNextTs_++, false});
-                for (const auto &tu : critTrace_.uops) {
-                    wpRecords_[critWpBbBase_ + tu.offsetInBlock]
-                        .critical = true;
-                }
-            } else {
-                // On-path: publish this BB's criticality bits for
-                // the regular fetch stream.
-                BbInfo info;
-                info.baseTs = critFetchBaseTs_;
-                info.critBits.assign(critTrace_.blockLength, false);
-                for (const auto &tu : critTrace_.uops)
-                    info.critBits[tu.offsetInBlock] = true;
-                bbInfoQ_.push_back(std::move(info));
+                    wpRecords_.push_back({rec, nextWrongPathTs_++});
             }
+            // Publish this BB's criticality bits for the regular
+            // fetch stream, on path and off.
+            BbInfo info;
+            info.baseTs = critFetchBaseTs_;
+            info.critBits.assign(critTrace_.blockLength, false);
+            for (const auto &tu : critTrace_.uops)
+                info.critBits[tu.offsetInBlock] = true;
+            bbInfoQ_.push_back(std::move(info));
         }
 
         const unsigned len = critTrace_.blockLength;
@@ -250,24 +249,15 @@ Core::fetchCriticalCdf(unsigned &budget)
             if (budget == 0 || critQ_.full())
                 return;
 
-            isa::ExecRecord rec;
-            SeqNum ts;
-            if (critOnPath_) {
-                ts = critFetchBaseTs_ + tu.offsetInBlock;
-                if (!oracle_.hasRecord(ts)) {
-                    beginCdfExit(); // program ends inside this block
-                    return;
-                }
-                rec = oracle_.at(ts);
-                SIM_ASSERT(rec.pc ==
-                               critTrace_.startPc + tu.offsetInBlock,
-                           "critical fetch desynchronized from oracle");
-            } else {
-                const WpRecord &w =
-                    wpRecords_[critWpBbBase_ + tu.offsetInBlock];
-                rec = w.rec;
-                ts = w.ts;
+            const SeqNum ts = critFetchBaseTs_ + tu.offsetInBlock;
+            if (critOnPath_ && !oracle_.hasRecord(ts)) {
+                beginCdfExit(); // program ends inside this block
+                return;
             }
+            const isa::ExecRecord &rec =
+                critOnPath_ ? oracle_.at(ts) : walkedBlock_[tu.offsetInBlock];
+            SIM_ASSERT(rec.pc == critTrace_.startPc + tu.offsetInBlock,
+                       "critical fetch desynchronized from its records");
 
             DynInst *inst = makeInst(rec, ts, critOnPath_);
             inst->critical = true;
@@ -303,33 +293,22 @@ Core::fetchCriticalCdf(unsigned &budget)
         const std::uint32_t state = checkpointBranch();
         bp::BranchPrediction pred = bp_.predict(branchPc, buop);
 
-        SeqNum branchTs;
-        bool misp = false;
-        if (critOnPath_) {
-            branchTs = critFetchBaseTs_ + len - 1;
-            if (!oracle_.hasRecord(branchTs)) {
-                branchStates_.free(state);
-                beginCdfExit();
-                return;
-            }
-            const isa::ExecRecord &brec = oracle_.at(branchTs);
-            misp = pred.taken != brec.taken ||
-                   (pred.taken && pred.target != brec.nextPc);
-        } else {
-            branchTs =
-                wpRecords_[critWpBbBase_ + len - 1].ts;
+        const SeqNum branchTs = critFetchBaseTs_ + len - 1;
+        if (critOnPath_ && !oracle_.hasRecord(branchTs)) {
+            branchStates_.free(state);
+            beginCdfExit();
+            return;
         }
+        const isa::ExecRecord &brec =
+            critOnPath_ ? oracle_.at(branchTs) : walkedBlock_[len - 1];
+        const bool misp = critOnPath_ &&
+                          (pred.taken != brec.taken ||
+                           (pred.taken && pred.target != brec.nextPc));
 
         dbq_->push({branchTs, pred.taken, pred.target});
 
         if (branchCritical) {
-            isa::ExecRecord rec;
-            if (critOnPath_) {
-                rec = oracle_.at(branchTs);
-            } else {
-                rec = wpRecords_[critWpBbBase_ + len - 1].rec;
-            }
-            DynInst *binst = makeInst(rec, branchTs, critOnPath_);
+            DynInst *binst = makeInst(brec, branchTs, critOnPath_);
             binst->critical = true;
             binst->criticalStream = true;
             binst->cdfFetched = true;
@@ -338,7 +317,7 @@ Core::fetchCriticalCdf(unsigned &budget)
             binst->predTaken = pred.taken;
             binst->predTarget = pred.target;
             binst->btbMissBubble = pred.btbMiss;
-            binst->mispredicted = critOnPath_ && misp;
+            binst->mispredicted = misp;
             critQ_.push(binst);
             --budget;
             ++statBranches_;
@@ -349,16 +328,14 @@ Core::fetchCriticalCdf(unsigned &budget)
         }
 
         const Addr nextPc = pred.taken ? pred.target : branchPc + 1;
-        if (critOnPath_) {
+        if (critOnPath_)
             critCoveredUpTo_ = critFetchBaseTs_ + len;
-            if (misp) {
-                critOnPath_ = false;
-                walker_.restart(oracle_.frontierRegs());
-                critWpNextTs_ = branchTs + 1;
-            } else {
-                critFetchBaseTs_ += len;
-            }
+        if (misp) {
+            critOnPath_ = false;
+            beginWrongPath(branchTs);
         }
+        // Off path too: the wrong path is numbered from branchTs + 1.
+        critFetchBaseTs_ += len;
         critFetchPc_ = nextPc;
         critTraceValid_ = false;
         critTraceIdx_ = 0;

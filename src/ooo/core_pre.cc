@@ -111,10 +111,8 @@ Core::maybeEnterRunahead(const DynInst *head)
     for (unsigned i = 0; i < config_.pre.bbScanLimit; ++i) {
         if (uopCache_->contains(pc))
             break;
-        if (!oracle_.program().validPc(pc) ||
-            oracle_.program().at(pc).isHalt()) {
+        if (!walkable(pc))
             break;
-        }
         const isa::ExecRecord rec = walker_.execute(pc);
         propagateTaint(rec.uop, false);
         pc = rec.nextPc;
@@ -216,9 +214,7 @@ Core::runaheadStep(unsigned &budget)
                 ++raEpisodeLoads_;
                 --loadBudget;
                 // Skip lines already present or in flight at the
-                // LLC: runahead prefetches each miss once. The
-                // memoized classifier answers repeat probes of the
-                // same chain without walking the tag arrays.
+                // LLC: runahead prefetches each miss once.
                 if (mem_.wouldMissLlc(rec.memAddr)) {
                     mem_.dataAccess(rec.memAddr,
                                     mem::AccessKind::RunaheadLoad,

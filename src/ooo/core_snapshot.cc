@@ -85,7 +85,7 @@ Core::snapFields(Self &self, Ar &ar)
 
     // Regular fetch stream and retire scalars.
     ar.io(self.now_, self.fetchSeqCounter_, self.nextFetchTs_,
-          self.wrongPath_, self.wrongPathPc_, self.wrongPathTs_,
+          self.wrongPath_, self.wrongPathPc_, self.nextWrongPathTs_,
           self.fetchStallUntil_, self.lastFetchLine_, self.fetchDoneHalt_,
           self.nextRetireTs_, self.halted_, self.lastRetireCycle_,
           self.retiredInstrs_, self.fetchAtBbStart_, self.fetchBbStartPc_,
@@ -107,7 +107,7 @@ Core::snapFields(Self &self, Ar &ar)
           self.critRatCopied_, self.cdfStartTs_, self.regRenamedThroughTs_,
           self.critFetchPc_, self.critFetchBaseTs_, self.critOnPath_,
           self.critTraceValid_, self.critTrace_, self.critTraceIdx_,
-          self.critCoveredUpTo_, self.critWpNextTs_, self.critWpBbBase_);
+          self.critCoveredUpTo_);
     ar.each(self.criticalByTs_, inst);
     ar.seq32(self.bbInfoQ_);
     ar.seq32(self.wpRecords_);

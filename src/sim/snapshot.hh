@@ -40,8 +40,11 @@ namespace cdfsim::sim
  *  4: the MLP counters are sorted completion rings like the MSHR
  *  files, pruned to the current cycle before a run returns; the LLC
  *  probe memo, the caches' tag generations and the core's copy of
- *  the last squash's oldest branch checkpoint went. */
-inline constexpr std::uint32_t kCheckpointSchemaVersion = 4;
+ *  the last squash's oldest branch checkpoint went.
+ *  5: wrong-path records carry no criticality bit (it travels in the
+ *  per-block criticality queue on both paths), and one next
+ *  wrong-path ts replaces the regular and critical streams' two. */
+inline constexpr std::uint32_t kCheckpointSchemaVersion = 5;
 
 /** A complete post-warmup simulator state. */
 struct Checkpoint

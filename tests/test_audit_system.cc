@@ -7,7 +7,7 @@
  * (Core::auditBranchStates), its fetch frontend
  * (Core::auditFrontend), and the CDF side tables
  * (CriticalCountTable::auditInvariants, MaskCache::auditInvariants,
- * FillBuffer::auditInvariants).
+ * both through cdf::SetAssocArray, and FillBuffer::auditInvariants).
  *
  * Unlike tests/test_audit.cc — which covers the header-only audited
  * containers and deliberately links only cdfsim_common — these walks
@@ -157,11 +157,12 @@ struct AuditPeer
         return c.maskCache_.get();
     }
 
-    /** Clone a valid CCT tag into a second way of the same set. */
+    /** Clone a valid tag into a second way of the same set. */
+    template <class Entry>
     static bool
-    duplicateCctTag(cdf::CriticalCountTable &t)
+    duplicateTag(cdf::SetAssocArray<Entry> &t)
     {
-        const unsigned ways = t.config_.ways;
+        const unsigned ways = t.ways_;
         for (std::size_t set = 0; set < t.sets_; ++set) {
             auto *base = &t.entries_[set * ways];
             for (unsigned w = 0; w < ways; ++w) {
@@ -176,9 +177,10 @@ struct AuditPeer
         return false;
     }
 
-    /** Stamp a valid CCT entry newer than the allocation clock. */
+    /** Stamp a valid entry newer than the table's clock. */
+    template <class Entry>
     static bool
-    skewCctLruTick(cdf::CriticalCountTable &t)
+    skewLruTick(cdf::SetAssocArray<Entry> &t)
     {
         for (auto &e : t.entries_) {
             if (!e.valid)
@@ -189,11 +191,12 @@ struct AuditPeer
         return false;
     }
 
-    /** Move a valid CCT entry into a set its tag cannot hash to. */
+    /** Move a valid entry into a set its tag cannot hash to. */
+    template <class Entry>
     static bool
-    teleportCctEntry(cdf::CriticalCountTable &t)
+    teleportEntry(cdf::SetAssocArray<Entry> &t)
     {
-        const unsigned ways = t.config_.ways;
+        const unsigned ways = t.ways_;
         if (t.sets_ < 2)
             return false;
         for (std::size_t set = 0; set < t.sets_; ++set) {
@@ -208,36 +211,34 @@ struct AuditPeer
         return false;
     }
 
-    /** Clone a valid mask cache tag into a second way of its set. */
+    static bool
+    duplicateCctTag(cdf::CriticalCountTable &t)
+    {
+        return duplicateTag(t.table_);
+    }
+
+    static bool
+    skewCctLruTick(cdf::CriticalCountTable &t)
+    {
+        return skewLruTick(t.table_);
+    }
+
+    static bool
+    teleportCctEntry(cdf::CriticalCountTable &t)
+    {
+        return teleportEntry(t.table_);
+    }
+
     static bool
     duplicateMaskTag(cdf::MaskCache &m)
     {
-        const unsigned ways = m.config_.ways;
-        for (std::size_t set = 0; set < m.sets_; ++set) {
-            auto *base = &m.entries_[set * ways];
-            for (unsigned w = 0; w < ways; ++w) {
-                if (!base[w].valid)
-                    continue;
-                const unsigned other = (w + 1) % ways;
-                base[other].valid = true;
-                base[other].tag = base[w].tag;
-                return true;
-            }
-        }
-        return false;
+        return duplicateTag(m.table_);
     }
 
-    /** Stamp a valid mask cache entry ahead of the clock. */
     static bool
     skewMaskLruTick(cdf::MaskCache &m)
     {
-        for (auto &e : m.entries_) {
-            if (!e.valid)
-                continue;
-            e.lruTick = m.tick_ + 1;
-            return true;
-        }
-        return false;
+        return skewLruTick(m.table_);
     }
 
     // --- CDF Fill Buffer --------------------------------------------
@@ -526,6 +527,30 @@ struct AuditPeer
     overrunWpConsumeIdx(ooo::Core &c)
     {
         c.wpConsumeIdx_ = c.wpRecords_.size() + 1;
+    }
+
+    /** Publish a criticality block over the newest one's uops. */
+    static void
+    overlapBbInfo(ooo::Core &c)
+    {
+        if (c.bbInfoQ_.empty())
+            c.bbInfoQ_.push_back({0, {false, false}});
+        const auto last = c.bbInfoQ_.back();
+        c.bbInfoQ_.push_back(last);
+    }
+
+    /** In CDF mode, buffer a wrong-path record no published block
+     *  covers. False outside CDF mode. */
+    static bool
+    unpublishedWpRecord(ooo::Core &c)
+    {
+        if (!c.cdfMode_)
+            return false;
+        const SeqNum ts =
+            c.wpRecords_.empty() ? 0 : c.wpRecords_.back().ts + 1;
+        c.bbInfoQ_.clear();
+        c.wpRecords_.push_back({{}, ts});
+        return true;
     }
 
     // --- Core: critical fetch off path ------------------------------
@@ -840,6 +865,12 @@ TEST_F(AuditSystem, FrontendFiresOnWpConsumeOverrun)
     EXPECT_THROW(core().auditFrontend(), PanicError);
 }
 
+TEST_F(AuditSystem, FrontendFiresOnOverlappingCriticalityBlocks)
+{
+    AuditPeer::overlapBbInfo(core());
+    EXPECT_THROW(core().auditFrontend(), PanicError);
+}
+
 // ------------------------------------------------- CDF side tables
 
 /**
@@ -942,6 +973,12 @@ TEST_F(AuditSystemCdf, MaskCacheFiresOnLruAheadOfClock)
                 *AuditPeer::maskCache(c));
         },
         [](auto &c) { AuditPeer::maskCache(c)->auditInvariants(); });
+}
+
+TEST_F(AuditSystemCdf, FrontendFiresOnUnpublishedWpRecord)
+{
+    expectFires(AuditPeer::unpublishedWpRecord,
+                [](auto &c) { c.auditFrontend(); });
 }
 
 TEST_F(AuditSystemCdf, FillBufferSilentOnDrivenCore)

@@ -8,11 +8,38 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "isa/interpreter.hh"
 #include "ooo/core.hh"
 #include "workloads/workloads.hh"
 
 using namespace cdfsim;
+
+namespace cdfsim
+{
+
+/** Test-only read access to the core's in-flight window (the core
+ *  befriends this name, forward-declared in common/audit.hh). */
+struct AuditPeer
+{
+    /** Addresses of the wrong-path loads in flight, oldest first. */
+    static std::vector<Addr>
+    wrongPathLoadAddrs(const ooo::Core &c)
+    {
+        std::vector<Addr> addrs;
+        for (std::uint32_t i = c.inflightHead_; i != ooo::kNoInst;
+             i = c.inflightPool_.at(i).nextIdx) {
+            const ooo::DynInst &inst = c.inflightPool_.at(i);
+            if (!inst.onPath && inst.isLoad())
+                addrs.push_back(inst.memAddr);
+        }
+        return addrs;
+    }
+};
+
+} // namespace cdfsim
 
 namespace
 {
@@ -174,4 +201,53 @@ TEST(CoreBaseline, PaperWorkloadsRunUnderBaseline)
         EXPECT_GE(r.retiredInstrs, 30'000u) << name;
         EXPECT_GT(r.ipc, 0.01) << name;
     }
+}
+
+TEST(CoreBaseline, WrongPathRecordExecutesOnceAcrossIcacheMiss)
+{
+    // A cold branch, predicted taken, that falls through and resolves
+    // late (its condition waits on two dependent DRAM loads) sends
+    // fetch down its target: a cold I-cache line opening with a
+    // self-dependent addi and a load through its result. The record
+    // the walker produces there must survive the I-cache miss and be
+    // fetched after the fill, not walked a second time, so the load
+    // sees r5 advanced by 8 exactly once.
+    constexpr Addr kPtr = 0x100000;
+    constexpr Addr kFlag = 0x180000;
+    constexpr Addr kWrongBase = 0x200000;
+    isa::ProgramBuilder b("wrongpath_icache_miss");
+    auto wrong = b.makeLabel();
+    b.movi(1, static_cast<std::int64_t>(kPtr));
+    b.movi(5, static_cast<std::int64_t>(kWrongBase));
+    b.load(2, 1, 0); // r2 = kFlag
+    b.load(3, 2, 0); // r3 = 1: the branch falls through
+    while (b.here() % 8 != 7)
+        b.nop();
+    b.beqz(3, wrong);
+    b.halt();
+    while (b.here() % 8 != 0) // the target opens its own I-cache line
+        b.nop();
+    b.bind(wrong);
+    b.addi(5, 5, 8);
+    b.load(6, 5, 0);
+    b.halt();
+    auto prog = b.build();
+
+    isa::MemoryImage mem;
+    mem.write(kPtr, kFlag);
+    mem.write(kFlag, 1);
+    StatRegistry stats;
+    ooo::Core core(testConfig(), prog, mem, stats);
+    std::set<Addr> seen;
+    while (!core.halted() && core.cycle() < 100'000) {
+        core.run(~std::uint64_t{0}, core.cycle() + 1);
+        for (Addr a : AuditPeer::wrongPathLoadAddrs(core))
+            seen.insert(a);
+    }
+    ASSERT_TRUE(core.halted());
+    EXPECT_GT(stats.get("core.mispredicts"), 0u)
+        << "the branch did not mispredict";
+    ASSERT_FALSE(seen.empty()) << "the wrong-path load was never fetched";
+    // A second walk of the addi would put the load at kWrongBase + 16.
+    EXPECT_EQ(seen, std::set<Addr>{kWrongBase + 8});
 }

@@ -259,14 +259,14 @@ TEST(Snapshot, PayloadBytesMatchGolden)
         std::uint64_t key;
     };
     const Golden cells[] = {
-        {"astar", ooo::CoreMode::Baseline, false, 0x9663bc9cf9ba5e3bull,
+        {"astar", ooo::CoreMode::Baseline, false, 0x56484d68cf39f668ull,
          0x7a0dddbdd60ac7c5ull},
-        {"mcf", ooo::CoreMode::Cdf, true, 0xbcafef9e5349dd74ull,
+        {"mcf", ooo::CoreMode::Cdf, true, 0x063578d82fea1512ull,
          0xed90ffdb93d3407full},
-        {"lbm", ooo::CoreMode::Pre, false, 0xe9cfe9997a4332d4ull,
+        {"lbm", ooo::CoreMode::Pre, false, 0x48f7a0b64db95979ull,
          0xdee6705e631a2be7ull},
     };
-    ASSERT_EQ(sim::kCheckpointSchemaVersion, 4u);
+    ASSERT_EQ(sim::kCheckpointSchemaVersion, 5u);
     sim::RunSpec spec;
     spec.warmupInstrs = 4'000;
     for (const Golden &g : cells) {
